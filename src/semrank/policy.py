@@ -9,10 +9,10 @@ pushed through one tanh hidden layer, and projected to vocabulary logits:
 
 where X_eff = X + (alpha/r) * B @ A when a LoRA adapter is attached to X.
 Every training objective in this package reduces to a weighted sum of
-completion-token log-probabilities, so `backward` computes the exact
-gradient of sum_t g_t * log pi(o_t) for caller-supplied weights g_t; in
-LoRA mode only the adapter factors receive gradients, the host tensors are
-frozen.
+token log-probabilities, so one kernel, `token_forward`, serves them all:
+one forward over stacked context windows gives the log-probs and the exact
+gradient of sum_n g_n * log pi(target_n) for caller-supplied weights g_n
+(in LoRA mode, of the adapter factors only: the host tensors are frozen).
 
 Contexts shorter than C are left-padded with PAD_ID. Sampling and
 log-probability bookkeeping share one temperature convention: logits are
@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -187,13 +189,9 @@ def merge_lora(params: PolicyParams) -> PolicyParams:
 
     forward_logits of the merged model matches the adapted model exactly.
     """
-    if params.lora is None:
-        return params.copy()
-    merged = params.copy()
-    for name in params.lora:
+    merged = detach_lora(params)
+    for name in params.lora or {}:
         setattr(merged, name, params.effective(name).copy())
-    merged.lora = None
-    merged.lora_cfg = None
     return merged
 
 
@@ -225,28 +223,87 @@ def forward_logits(params: PolicyParams, context) -> np.ndarray:
     return h @ params.effective("W2") + params.b2
 
 
-def _pad_context(ids: np.ndarray, context_size: int) -> np.ndarray:
-    """Last context_size ids, left-padded with PAD_ID."""
-    if len(ids) >= context_size:
-        return ids[-context_size:]
-    out = np.full(context_size, PAD_ID, dtype=np.int64)
-    if len(ids):
-        out[-len(ids):] = ids
-    return out
-
-
-def _context_windows(params: PolicyParams, prompt: np.ndarray,
-                     completion: np.ndarray) -> np.ndarray:
-    """(T, C) matrix whose row t is the context preceding completion[t]."""
-    C = params.context_size
-    full = np.concatenate([np.full(C, PAD_ID, dtype=np.int64), prompt, completion])
-    windows = np.lib.stride_tricks.sliding_window_view(full, C)
-    return windows[len(prompt):len(prompt) + len(completion)].copy()
+def stack_windows(params: PolicyParams, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """token_forward's inputs for (prompt, completion) pairs, completions in
+    order: the (N, C) windows, row n the left-padded context preceding
+    target n, and the (N,) targets."""
+    pad = np.full(params.context_size, PAD_ID, dtype=np.int64)
+    windows, targets = [], []
+    for prompt, completion in pairs:
+        prompt, completion = _check_tokens(params, prompt), _check_tokens(params, completion)
+        if len(completion) == 0:
+            raise ValueError("completion must be non-empty")
+        full = np.concatenate([pad, prompt, completion])
+        windows.append(np.lib.stride_tricks.sliding_window_view(full, len(pad))[len(prompt):-1])
+        targets.append(completion)
+    return np.concatenate(windows), np.concatenate(targets)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def token_forward(params: PolicyParams, windows, targets, temperature: float = 1.0):
+    """One forward over N stacked (N, C) context windows.
+
+    Returns (logp, grad_of): logp[n] is the tempered log-prob of targets[n],
+    and grad_of(g) the exact gradient of sum_n g[n] * logp[n] w.r.t.
+    params.trainable() (in LoRA mode the adapter factors only, the hosts
+    are frozen), from this same forward. The first layer is summed
+    one context position at a time, so the (N, C*d) gathered embeddings are
+    never built; dW1 and dE are likewise computed per position.
+    """
+    windows = _check_tokens(params, windows)
+    targets = _check_tokens(params, targets)
+    N = len(targets)
+    C, d = params.context_size, params.embed_dim
+    if windows.shape != (N, C):
+        raise ValueError(f"windows must have shape ({N}, {C}), got {windows.shape}")
+    if temperature <= 0:
+        raise ValueError("temperature must be positive")
+    w1, w2 = params.effective("W1"), params.effective("W2")
+    blocks = [slice(c * d, (c + 1) * d) for c in range(C)]
+
+    pre = np.zeros((N, params.hidden_dim))
+    for c, block in enumerate(blocks):
+        pre += params.E[windows[:, c]] @ w1[block]
+    H = np.tanh(pre + params.b1)
+    logp_all = _log_softmax((H @ w2 + params.b2) / temperature)
+    rows = np.arange(N)
+
+    def grad_of(g) -> dict[str, np.ndarray]:
+        g = np.asarray(g, dtype=np.float64)
+        if g.shape != (N,):
+            raise ValueError(f"need one loss gradient per token, "
+                             f"got {g.shape} for {N} tokens")
+        # dL/dlogits = g * (onehot(target) - softmax) / temperature
+        gt = g / temperature
+        dlogits = -np.exp(logp_all) * gt[:, None]
+        dlogits[rows, targets] += gt
+        dW2 = H.T @ dlogits
+        dA1 = (dlogits @ w2.T) * (1.0 - H * H)
+        dW1 = np.empty_like(w1)
+        for c, block in enumerate(blocks):
+            dW1[block] = params.E[windows[:, c]].T @ dA1
+
+        if params.lora is not None:
+            scale = params.lora_cfg.scale
+            host_grads = {"W1": dW1, "W2": dW2}
+            grads: dict[str, np.ndarray] = {}
+            for name, (a, b) in params.lora.items():
+                dhost = host_grads[name]
+                grads[f"lora.{name}.A"] = scale * (b.T @ dhost)
+                grads[f"lora.{name}.B"] = scale * (dhost @ a.T)
+            return grads
+
+        dE = np.zeros_like(params.E)
+        for c, block in enumerate(blocks):
+            np.add.at(dE, windows[:, c], dA1 @ w1[block].T)
+        return {"E": dE, "W1": dW1, "b1": dA1.sum(axis=0),
+                "W2": dW2, "b2": dlogits.sum(axis=0)}
+
+    return logp_all[rows, targets], grad_of
 
 
 def logprob_sequence(params: PolicyParams, prompt, completion,
@@ -256,18 +313,8 @@ def logprob_sequence(params: PolicyParams, prompt, completion,
     Logits are divided by the temperature before the log-softmax, matching
     the bookkeeping convention of sample_sequence.
     """
-    prompt = _check_tokens(params, prompt)
-    completion = _check_tokens(params, completion)
-    if len(completion) == 0:
-        raise ValueError("completion must be non-empty")
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    ctx = _context_windows(params, prompt, completion)
-    X = params.E[ctx].reshape(len(completion), -1)
-    H = np.tanh(X @ params.effective("W1") + params.b1)
-    logits = H @ params.effective("W2") + params.b2
-    logp = _log_softmax(logits / temperature)
-    return logp[np.arange(len(completion)), completion]
+    windows, targets = stack_windows(params, [(prompt, completion)])
+    return token_forward(params, windows, targets, temperature)[0]
 
 
 def sample_sequence(params: PolicyParams, prompt, temperature: float = 1.0,
@@ -289,7 +336,8 @@ def sample_sequence(params: PolicyParams, prompt, temperature: float = 1.0,
 
     w1 = params.effective("W1")
     w2 = params.effective("W2")
-    ctx = _pad_context(prompt, params.context_size).copy()
+    ctx = np.concatenate([np.full(params.context_size, PAD_ID, dtype=np.int64),
+                          prompt])[-params.context_size:]
     tokens: list[int] = []
     logprobs: list[float] = []
     for _ in range(max_len):
@@ -324,57 +372,9 @@ def greedy_decode(params: PolicyParams, prompt, max_len: int = 128,
 def backward(params: PolicyParams, prompt, completion, per_token_loss_grads,
              temperature: float = 1.0) -> dict[str, np.ndarray]:
     """Exact gradient of L = sum_t g_t * log pi(o_t | ctx_t) w.r.t. the
-    trainable tensors.
-
-    Returns a dict keyed like params.trainable(). In LoRA mode the host
-    tensors are frozen: only the adapter factors appear (their hosts'
-    gradients are exactly zero by construction).
-    """
-    prompt = _check_tokens(params, prompt)
-    completion = _check_tokens(params, completion)
-    g = np.asarray(per_token_loss_grads, dtype=np.float64)
-    if g.shape != (len(completion),):
-        raise ValueError(f"need one loss gradient per completion token, "
-                         f"got {g.shape} for {len(completion)} tokens")
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-
-    C = params.context_size
-    T = len(completion)
-    ctx = _context_windows(params, prompt, completion)
-    w1 = params.effective("W1")
-    w2 = params.effective("W2")
-
-    X = params.E[ctx].reshape(T, -1)
-    H = np.tanh(X @ w1 + params.b1)
-    logits = H @ w2 + params.b2
-    P = np.exp(_log_softmax(logits / temperature))
-
-    # dL/dlogits = g * (onehot(o_t) - softmax) / temperature
-    dlogits = -P * (g / temperature)[:, None]
-    dlogits[np.arange(T), completion] += g / temperature
-
-    dW2_eff = H.T @ dlogits
-    db2 = dlogits.sum(axis=0)
-    dH = dlogits @ w2.T
-    dA1 = dH * (1.0 - H * H)
-    dW1_eff = X.T @ dA1
-    db1 = dA1.sum(axis=0)
-
-    if params.lora is not None:
-        scale = params.lora_cfg.scale
-        grads: dict[str, np.ndarray] = {}
-        host_grads = {"W1": dW1_eff, "W2": dW2_eff}
-        for name, (a, b) in params.lora.items():
-            dhost = host_grads[name]
-            grads[f"lora.{name}.A"] = scale * (b.T @ dhost)
-            grads[f"lora.{name}.B"] = scale * (dhost @ a.T)
-        return grads
-
-    dX = dA1 @ w1.T
-    dE = np.zeros_like(params.E)
-    np.add.at(dE, ctx.ravel(), dX.reshape(T * C, params.embed_dim))
-    return {"E": dE, "W1": dW1_eff, "b1": db1, "W2": dW2_eff, "b2": db2}
+    trainable tensors, keyed like params.trainable() (see token_forward)."""
+    windows, targets = stack_windows(params, [(prompt, completion)])
+    return token_forward(params, windows, targets, temperature)[1](per_token_loss_grads)
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +401,20 @@ def save_checkpoint(params: PolicyParams, path, extra: dict | None = None) -> No
         "extra": extra or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        for _, t in tensors:
-            f.write(np.ascontiguousarray(t, dtype=np.float64).tobytes())
+    # Renamed onto the target only when complete, so an interrupted save keeps
+    # the previous checkpoint. No fsync: it slowed the work that follows.
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CKPT_MAGIC)
+            f.write(struct.pack("<I", len(blob)))
+            f.write(blob)
+            for _, t in tensors:
+                f.write(np.ascontiguousarray(t, dtype=np.float64).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[PolicyParams, dict]:

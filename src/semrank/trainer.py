@@ -12,7 +12,8 @@ prompt batch. rho_t compares the current policy to the sampling-time
 snapshot (both at the sampling temperature); kl_t is the non-negative k3
 estimator exp(d) - d - 1 with d = logpi_ref - logpi_new against the frozen
 reference policy. Only the LoRA adapter is updated; the reference is the
-base model with the adapter detached.
+base model with the adapter detached. All three stages train through the
+one stacked token kernel, policy.token_forward.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ class GrpoConfig:
     max_new_tokens: int = 128
     inner_epochs: int = 1
     lr: float = 1e-3
-    weight_decay: float = 0.0
     checkpoint_interval: int = 100
     seed: int = 0
 
@@ -93,10 +93,19 @@ ScoreFn = Callable[[GrpoItem, str], RewardBreakdown]
 
 @dataclass
 class RolloutGroup:
+    """One prompt's K scored samples, with their completions stacked as
+    token_forward rows and the per-row constants every inner epoch reuses."""
+
     prompt: tuple[int, ...]
     samples: list[policy.SampledSequence]
     rewards: list[RewardBreakdown]
     advantages: np.ndarray
+    windows: np.ndarray
+    targets: np.ndarray
+    weights: np.ndarray  # mean over each completion's tokens, group, batch
+    adv: np.ndarray      # the advantage of each row's completion
+    logp_old: np.ndarray
+    logp_ref: np.ndarray
 
 
 @dataclass
@@ -148,6 +157,15 @@ def _mean_or_none(values: list[float | None]) -> float | None:
     return float(np.mean(present))
 
 
+def _stack_pairs(params: policy.PolicyParams,
+                 pairs: list[tuple[Sequence[int], Sequence[int]]]):
+    """token_forward rows of (prompt, completion) pairs, weighted so that
+    weights @ x is the mean over pairs of each completion's token mean."""
+    windows, targets = policy.stack_windows(params, pairs)
+    lengths = np.array([len(completion) for _, completion in pairs])
+    return windows, targets, np.repeat(1.0 / (lengths * len(pairs)), lengths)
+
+
 def _collect_rollouts(state: TrainState, items: Sequence[GrpoItem],
                       score_fn: ScoreFn, decode: Callable[[Sequence[int]], str],
                       cfg: GrpoConfig, step_seed: int) -> list[RolloutGroup]:
@@ -166,68 +184,66 @@ def _collect_rollouts(state: TrainState, items: Sequence[GrpoItem],
             samples.append(seq)
             rewards.append(score_fn(item, decode(seq.tokens)))
         advantages = group_advantages([b.total for b in rewards], cfg.adv_eps)
-        groups.append(RolloutGroup(prompt=tuple(prompt), samples=samples,
-                                   rewards=rewards, advantages=advantages))
+        windows, targets, weights = _stack_pairs(
+            state.params, [(prompt, seq.tokens) for seq in samples])
+        logp_ref, _ = policy.token_forward(state.ref_params, windows, targets,
+                                           cfg.temperature)
+        groups.append(RolloutGroup(
+            prompt=tuple(prompt), samples=samples, rewards=rewards,
+            advantages=advantages, windows=windows, targets=targets,
+            weights=weights / len(items),
+            adv=np.repeat(advantages, [len(seq.tokens) for seq in samples]),
+            logp_old=np.concatenate([seq.logprobs for seq in samples]),
+            logp_ref=logp_ref))
     return groups
 
 
 def _grpo_pass(state: TrainState, groups: list[RolloutGroup],
                cfg: GrpoConfig) -> dict:
     """One optimization pass over fixed rollouts: compute the clipped
-    surrogate + KL loss, its exact gradient, and take one optimizer step."""
+    surrogate + KL loss, its exact gradient, and take one optimizer step.
+    Each prompt group is one token_forward call."""
     params = state.params
     grad_acc: dict[str, np.ndarray] = {
         name: np.zeros_like(t) for name, t in params.trainable().items()}
-    n_prompts = len(groups)
-    K = cfg.group_size
     loss_sum = 0.0
-    kl_values: list[float] = []
+    kl_values: list[np.ndarray] = []
     max_term_ratio = 0.0
 
     for prompt_index, grp in enumerate(groups):
-        prompt = list(grp.prompt)
-        for k, seq in enumerate(grp.samples):
-            completion = np.asarray(seq.tokens, dtype=np.int64)
-            adv = float(grp.advantages[k])
-            logp_old = np.asarray(seq.logprobs, dtype=np.float64)
-            logp_new = policy.logprob_sequence(params, prompt, completion,
-                                               temperature=cfg.temperature)
-            logp_ref = policy.logprob_sequence(state.ref_params, prompt, completion,
-                                               temperature=cfg.temperature)
-            rho = np.exp(logp_new - logp_old)
-            unclipped = rho * adv
-            clipped = np.clip(rho, 1 - cfg.clip_eps, 1 + cfg.clip_eps) * adv
-            surrogate = np.minimum(unclipped, clipped)
-            kl = k3_kl(logp_ref, logp_new)
-            T = len(completion)
-            sample_loss = float(np.mean(-surrogate + cfg.kl_coeff * kl))
-            if not np.isfinite(sample_loss):
-                raise GrpoNaNError(
-                    f"non-finite GRPO loss at step {state.step}, prompt "
-                    f"{prompt_index}",
-                    step=state.step, prompt_index=prompt_index, rewards=grp.rewards)
-            loss_sum += sample_loss / (K * n_prompts)
-            kl_values.extend(kl.tolist())
-            if adv != 0.0:
-                bound = (1 + cfg.clip_eps) * abs(adv)
-                max_term_ratio = max(max_term_ratio,
-                                     float(np.max(np.abs(surrogate))) / bound)
+        logp_new, grad_of = policy.token_forward(params, grp.windows, grp.targets,
+                                                 cfg.temperature)
+        rho = np.exp(logp_new - grp.logp_old)
+        unclipped = rho * grp.adv
+        clipped = np.clip(rho, 1 - cfg.clip_eps, 1 + cfg.clip_eps) * grp.adv
+        surrogate = np.minimum(unclipped, clipped)
+        kl = k3_kl(grp.logp_ref, logp_new)
+        group_loss = float(grp.weights @ (-surrogate + cfg.kl_coeff * kl))
+        if not np.isfinite(group_loss):
+            raise GrpoNaNError(
+                f"non-finite GRPO loss at step {state.step}, prompt "
+                f"{prompt_index}",
+                step=state.step, prompt_index=prompt_index, rewards=grp.rewards)
+        loss_sum += group_loss
+        kl_values.append(kl)
+        moving = grp.adv != 0.0
+        if moving.any():
+            bound = (1 + cfg.clip_eps) * np.abs(grp.adv[moving])
+            max_term_ratio = max(max_term_ratio,
+                                 float(np.max(np.abs(surrogate[moving]) / bound)))
 
-            # d loss / d logp_new, per token, with all averaging folded in:
-            # the min() gate passes gradient only where the unclipped branch
-            # is active, and d(kl)/d(logp_new) = 1 - exp(logp_ref - logp_new).
-            active = unclipped <= clipped
-            g = (-rho * adv * active + cfg.kl_coeff * (1.0 - np.exp(logp_ref - logp_new)))
-            g /= T * K * n_prompts
-            sample_grads = policy.backward(params, prompt, completion, g,
-                                           temperature=cfg.temperature)
-            for name, value in sample_grads.items():
-                grad_acc[name] += value
+        # d loss / d logp_new, per token, with all averaging folded in:
+        # the min() gate passes gradient only where the unclipped branch
+        # is active, and d(kl)/d(logp_new) = 1 - exp(logp_ref - logp_new).
+        active = unclipped <= clipped
+        g = -rho * grp.adv * active + cfg.kl_coeff * (1.0 - np.exp(grp.logp_ref - logp_new))
+        for name, value in grad_of(g * grp.weights).items():
+            grad_acc[name] += value
 
     optimizer_step(state.optimizer, params.trainable(), grad_acc, lr=cfg.lr)
     return {
         "loss": loss_sum,
-        "mean_kl": float(np.mean(kl_values)) if kl_values else 0.0,
+        "mean_kl": float(np.mean(np.concatenate(kl_values))) if kl_values else 0.0,
         "max_policy_term_ratio": max_term_ratio,
     }
 
@@ -240,7 +256,8 @@ def grpo_step(state: TrainState, items: Sequence[GrpoItem], score_fn: ScoreFn,
 
     Sampling seeds derive from (cfg.seed, step_seed), so a fixed run seed
     reproduces the rollouts bit for bit. Reported loss/KL come from the
-    first pass, where rho = 1 (on-policy).
+    first pass, where rho = 1 (on-policy). The stacked token rows and the
+    reference log-probs are built with the rollouts, once per step.
     """
     groups = _collect_rollouts(state, items, score_fn, decode, cfg, step_seed)
     first = _grpo_pass(state, groups, cfg)
@@ -248,19 +265,12 @@ def grpo_step(state: TrainState, items: Sequence[GrpoItem], score_fn: ScoreFn,
         _grpo_pass(state, groups, cfg)
     state.step += 1
 
-    metrics = {
-        "step": state.step,
-        "mean_total": float(np.mean([b.total for grp in groups for b in grp.rewards])),
-        "mean_semantic": _mean_or_none([b.semantic for grp in groups for b in grp.rewards]),
-        "mean_rouge": _mean_or_none([b.rouge for grp in groups for b in grp.rewards]),
-        "mean_answer": _mean_or_none([b.answer for grp in groups for b in grp.rewards]),
-        "mean_format": _mean_or_none([b.format for grp in groups for b in grp.rewards]),
-        "mean_think": _mean_or_none([b.think for grp in groups for b in grp.rewards]),
-        "mean_kl": first["mean_kl"],
-        "loss": first["loss"],
-        "lr": cfg.lr,
-        "max_policy_term_ratio": first["max_policy_term_ratio"],
-    }
+    rewards = [b for grp in groups for b in grp.rewards]
+    metrics = {"step": state.step,
+               "mean_total": float(np.mean([b.total for b in rewards])),
+               **{f"mean_{name}": _mean_or_none([getattr(b, name) for b in rewards])
+                  for name in ("semantic", "rouge", "answer", "format", "think")},
+               **first, "lr": cfg.lr}
     return metrics, groups
 
 
@@ -331,21 +341,29 @@ class SftItem:
     completion_tokens: tuple[int, ...]
 
 
-def _lm_batch_update(params: policy.PolicyParams, optimizer, lr: float,
-                     batch: list[tuple[list[int], list[int]]]) -> float:
-    """Accumulate cross-entropy gradients over (prompt, completion) pairs and
-    take one optimizer step. Returns the batch's mean loss per token."""
-    grad_acc = {name: np.zeros_like(t) for name, t in params.trainable().items()}
-    loss = 0.0
-    for prompt, completion in batch:
-        logp = policy.logprob_sequence(params, prompt, completion)
-        T = len(completion)
-        loss += float(-logp.mean()) / len(batch)
-        g = np.full(T, -1.0 / (T * len(batch)))
-        for name, value in policy.backward(params, prompt, completion, g).items():
-            grad_acc[name] += value
-    optimizer_step(optimizer, params.trainable(), grad_acc, lr=lr)
-    return loss
+def _train_lm(pairs: list[tuple[Sequence[int], Sequence[int]]],
+              params: policy.PolicyParams, optimizer, schedule: LrSchedule,
+              epochs: int, batch_size: int,
+              seed: int) -> tuple[policy.PolicyParams, list[float]]:
+    """Cross-entropy of (prompt, completion) pairs: batches in a seeded
+    order reshuffled per epoch, one token_forward call and one optimizer
+    step each. Returns (params, per-epoch mean of the batch losses)."""
+    rng = np.random.default_rng(seed)
+    step = 0
+    epoch_losses: list[float] = []
+    for _ in range(epochs):
+        order = rng.permutation(len(pairs))
+        losses = []
+        for start in range(0, len(order), batch_size):
+            windows, targets, weights = _stack_pairs(
+                params, [pairs[i] for i in order[start:start + batch_size]])
+            logp, grad_of = policy.token_forward(params, windows, targets)
+            optimizer_step(optimizer, params.trainable(), grad_of(-weights),
+                           lr=lr_at(schedule, step))
+            losses.append(float(-(weights @ logp)))
+            step += 1
+        epoch_losses.append(float(np.mean(losses)))
+    return params, epoch_losses
 
 
 def train_clm(chunks: Sequence[Sequence[int]], params: policy.PolicyParams,
@@ -366,20 +384,8 @@ def train_clm(chunks: Sequence[Sequence[int]], params: policy.PolicyParams,
                 sequences.append(piece)
     if not sequences:
         raise ValueError("train_clm needs a non-empty tokenized corpus")
-
-    rng = np.random.default_rng(seed)
-    step = 0
-    epoch_losses: list[float] = []
-    for _ in range(epochs):
-        order = rng.permutation(len(sequences))
-        losses = []
-        for start in range(0, len(order), batch_size):
-            batch = [([], sequences[i]) for i in order[start:start + batch_size]]
-            losses.append(_lm_batch_update(params, optimizer,
-                                           lr_at(schedule, step), batch))
-            step += 1
-        epoch_losses.append(float(np.mean(losses)))
-    return params, epoch_losses
+    return _train_lm([((), seq) for seq in sequences], params, optimizer,
+                     schedule, epochs, batch_size, seed)
 
 
 def train_sft(items: Sequence[SftItem], params: policy.PolicyParams,
@@ -396,38 +402,20 @@ def train_sft(items: Sequence[SftItem], params: policy.PolicyParams,
             raise ValueError(f"SFT item with empty completion: {it!r}")
     if not items:
         raise ValueError("train_sft needs at least one item")
+    return _train_lm([_sft_pair(it, mask_prompt) for it in items], params,
+                     optimizer, schedule, epochs, batch_size, seed)
 
-    rng = np.random.default_rng(seed)
-    step = 0
-    epoch_losses: list[float] = []
-    for _ in range(epochs):
-        order = rng.permutation(len(items))
-        losses = []
-        for start in range(0, len(order), batch_size):
-            batch = []
-            for i in order[start:start + batch_size]:
-                it = items[i]
-                if mask_prompt:
-                    batch.append((list(it.prompt_tokens), list(it.completion_tokens)))
-                else:
-                    batch.append(([], list(it.prompt_tokens) + list(it.completion_tokens)))
-            losses.append(_lm_batch_update(params, optimizer,
-                                           lr_at(schedule, step), batch))
-            step += 1
-        epoch_losses.append(float(np.mean(losses)))
-    return params, epoch_losses
+
+def _sft_pair(item: SftItem, mask_prompt: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    if mask_prompt:
+        return item.prompt_tokens, item.completion_tokens
+    return (), item.prompt_tokens + item.completion_tokens
 
 
 def sft_loss(items: Sequence[SftItem], params: policy.PolicyParams,
              mask_prompt: bool = True) -> float:
     """Mean per-token SFT loss without updating anything."""
-    losses = []
-    for it in items:
-        if mask_prompt:
-            logp = policy.logprob_sequence(params, list(it.prompt_tokens),
-                                           list(it.completion_tokens))
-        else:
-            logp = policy.logprob_sequence(
-                params, [], list(it.prompt_tokens) + list(it.completion_tokens))
-        losses.append(float(-logp.mean()))
-    return float(np.mean(losses))
+    windows, targets, weights = _stack_pairs(
+        params, [_sft_pair(it, mask_prompt) for it in items])
+    logp, _ = policy.token_forward(params, windows, targets)
+    return float(-(weights @ logp))

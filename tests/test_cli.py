@@ -255,6 +255,25 @@ class TestConfig:
         cfg.write_text(json.dumps({"version": 1, "seed": "now"}))
         assert main(["prepare", "--config", str(cfg)]) == 2
 
+    def test_unknown_leaf_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"version": 1, "seed": 1,
+                                   "grpo": {"stpes": 5}}))
+        assert main(["train", "grpo", "--config", str(cfg)]) == 2
+        assert "stpes" in capsys.readouterr().err
+
+    def test_unknown_section_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"version": 1, "seed": 1, "gpro": {}}))
+        assert main(["prepare", "--config", str(cfg)]) == 2
+        assert "gpro" in capsys.readouterr().err
+
+    def test_scalar_section_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"version": 1, "seed": 1, "grpo": 5}))
+        assert main(["train", "grpo", "--config", str(cfg)]) == 2
+        assert "'grpo' must be an object" in capsys.readouterr().err
+
     def test_config_echoed(self, tmp_path):
         synth_inputs(tmp_path)
         cfg = write_config(tmp_path)

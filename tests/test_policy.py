@@ -301,6 +301,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny(seed=34), path)
+        before = path.read_bytes()
+        broken = tiny(seed=35)
+        # the last tensor cannot be converted, so the save fails after the
+        # header and the earlier tensors were written
+        broken.b2 = np.array([object()] * broken.b2.size, dtype=object)
+        with pytest.raises(TypeError):
+            save_checkpoint(broken, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
     def test_greedy_decode_stable_through_checkpoint(self, tmp_path):
         params = tiny(seed=33)
         path = tmp_path / "model.ckpt"
