@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import logging
 import sys
@@ -207,26 +206,6 @@ def _write_simple_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
             writer.writerow([row.get(c, "") for c in columns])
 
 
-def _stage_schedule(sc: dict, n_examples: int, optimizer_kind: str):
-    """A CPT/SFT stage's learning-rate schedule and optimizer."""
-    total = max(1, -(-n_examples // sc["batch_size"])) * sc["epochs"]
-    schedule = LrSchedule(base_lr=sc["lr"],
-                          warmup_steps=int(total * sc["warmup_frac"]),
-                          total_steps=total)
-    return schedule, make_optimizer(optimizer_kind, lr=sc["lr"],
-                                    weight_decay=sc["weight_decay"])
-
-
-def _save_stage(run_dir: Path, params: policy.PolicyParams,
-                losses: list[float], extra: dict) -> Path:
-    """final.ckpt plus the per-epoch metrics.csv of a CPT or SFT run."""
-    ckpt = run_dir / "final.ckpt"
-    policy.save_checkpoint(params, ckpt, extra=extra)
-    rows = [{"step": i + 1, "loss": loss, "lr": ""} for i, loss in enumerate(losses)]
-    _write_simple_csv(run_dir / "metrics.csv", rows, ["step", "loss", "lr"])
-    return ckpt
-
-
 def _run_cpt(cfg: dict, optimizer_kind: str, out_dir: Path) -> tuple[Path, list[float]]:
     sc = cfg["cpt"]
     chunks_file = _require_path(Path(cfg["out_dir"]) / "corpus_chunks.jsonl",
@@ -234,14 +213,25 @@ def _run_cpt(cfg: dict, optimizer_kind: str, out_dir: Path) -> tuple[Path, list[
     chunks = [row["tokens"] for row in dataprep.read_jsonl(chunks_file)]
     params = _build_policy(cfg, seed=cfg["seed"])
     n_sequences = sum((len(c) + sc["seq_len"] - 1) // sc["seq_len"] for c in chunks)
-    schedule, optimizer = _stage_schedule(sc, n_sequences, optimizer_kind)
+    steps_per_epoch = max(1, (n_sequences + sc["batch_size"] - 1) // sc["batch_size"])
+    total = steps_per_epoch * sc["epochs"]
+    schedule = LrSchedule(base_lr=sc["lr"],
+                          warmup_steps=int(total * sc["warmup_frac"]),
+                          total_steps=total)
+    optimizer = make_optimizer(optimizer_kind, lr=sc["lr"],
+                               weight_decay=sc["weight_decay"])
     run_dir = out_dir / f"cpt_{optimizer_kind}"
     run_dir.mkdir(parents=True, exist_ok=True)
     params, losses = trainer.train_clm(
         chunks, params, optimizer, schedule, epochs=sc["epochs"],
         seq_len=sc["seq_len"], batch_size=sc["batch_size"], seed=cfg["seed"])
-    ckpt = _save_stage(run_dir, params, losses, extra={
-        "stage": "cpt", "optimizer": optimizer_kind, "seed": cfg["seed"]})
+    ckpt = run_dir / "final.ckpt"
+    policy.save_checkpoint(params, ckpt, extra={"stage": "cpt",
+                                                "optimizer": optimizer_kind,
+                                                "seed": cfg["seed"]})
+    rows = [{"step": i + 1, "loss": loss, "lr": ""}
+            for i, loss in enumerate(losses)]
+    _write_simple_csv(run_dir / "metrics.csv", rows, ["step", "loss", "lr"])
     print(f"cpt[{optimizer_kind}]: epoch losses "
           f"{[round(x, 4) for x in losses]} -> {ckpt}")
     return ckpt, losses
@@ -267,15 +257,23 @@ def _run_sft(cfg: dict, out_dir: Path) -> Path:
     params, _ = policy.load_checkpoint(init)
     vocab = _vocab()
     items = _sft_items(cfg, vocab)
-    schedule, optimizer = _stage_schedule(sc, len(items), sc["optimizer"])
+    steps_per_epoch = max(1, (len(items) + sc["batch_size"] - 1) // sc["batch_size"])
+    total = steps_per_epoch * sc["epochs"]
+    schedule = LrSchedule(base_lr=sc["lr"],
+                          warmup_steps=int(total * sc["warmup_frac"]),
+                          total_steps=total)
+    optimizer = make_optimizer(sc.get("optimizer", "adamw"), lr=sc["lr"],
+                               weight_decay=sc["weight_decay"])
     run_dir = out_dir / "sft"
     run_dir.mkdir(parents=True, exist_ok=True)
     params, losses = trainer.train_sft(items, params, optimizer, schedule,
                                        epochs=sc["epochs"],
                                        batch_size=sc["batch_size"],
                                        seed=cfg["seed"])
-    ckpt = _save_stage(run_dir, params, losses,
-                       extra={"stage": "sft", "seed": cfg["seed"]})
+    ckpt = run_dir / "final.ckpt"
+    policy.save_checkpoint(params, ckpt, extra={"stage": "sft", "seed": cfg["seed"]})
+    rows = [{"step": i + 1, "loss": loss, "lr": ""} for i, loss in enumerate(losses)]
+    _write_simple_csv(run_dir / "metrics.csv", rows, ["step", "loss", "lr"])
     print(f"sft: epoch losses {[round(x, 4) for x in losses]} -> {ckpt}")
     return ckpt
 
@@ -343,9 +341,13 @@ def _run_grpo(cfg: dict, out_dir: Path, embedder_kind: str | None) -> Path:
         return score_generation(text, grpo_item.payload, provider,
                                 reward_cfg, judge_client)
 
-    grpo_cfg = trainer.GrpoConfig(seed=cfg["seed"], **{
-        f.name: gc[f.name] for f in dataclasses.fields(trainer.GrpoConfig)
-        if f.name != "seed"})
+    grpo_cfg = trainer.GrpoConfig(
+        group_size=gc["group_size"], clip_eps=gc["clip_eps"],
+        kl_coeff=gc["kl_coeff"], temperature=gc["temperature"],
+        steps=gc["steps"], adv_eps=gc["adv_eps"],
+        prompts_per_step=gc["prompts_per_step"],
+        max_new_tokens=gc["max_new_tokens"], inner_epochs=gc["inner_epochs"],
+        lr=gc["lr"], checkpoint_interval=gc["checkpoint_interval"], seed=cfg["seed"])
     state = trainer.TrainState(
         params=params, ref_params=ref,
         optimizer=make_optimizer("adamw", lr=gc["lr"],

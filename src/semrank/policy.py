@@ -189,9 +189,13 @@ def merge_lora(params: PolicyParams) -> PolicyParams:
 
     forward_logits of the merged model matches the adapted model exactly.
     """
-    merged = detach_lora(params)
-    for name in params.lora or {}:
+    if params.lora is None:
+        return params.copy()
+    merged = params.copy()
+    for name in params.lora:
         setattr(merged, name, params.effective(name).copy())
+    merged.lora = None
+    merged.lora_cfg = None
     return merged
 
 
@@ -221,6 +225,16 @@ def forward_logits(params: PolicyParams, context) -> np.ndarray:
     x = params.E[ctx].ravel()
     h = np.tanh(x @ params.effective("W1") + params.b1)
     return h @ params.effective("W2") + params.b2
+
+
+def _pad_context(ids: np.ndarray, context_size: int) -> np.ndarray:
+    """Last context_size ids, left-padded with PAD_ID."""
+    if len(ids) >= context_size:
+        return ids[-context_size:]
+    out = np.full(context_size, PAD_ID, dtype=np.int64)
+    if len(ids):
+        out[-len(ids):] = ids
+    return out
 
 
 def stack_windows(params: PolicyParams, pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -336,8 +350,7 @@ def sample_sequence(params: PolicyParams, prompt, temperature: float = 1.0,
 
     w1 = params.effective("W1")
     w2 = params.effective("W2")
-    ctx = np.concatenate([np.full(params.context_size, PAD_ID, dtype=np.int64),
-                          prompt])[-params.context_size:]
+    ctx = _pad_context(prompt, params.context_size).copy()
     tokens: list[int] = []
     logprobs: list[float] = []
     for _ in range(max_len):

@@ -93,19 +93,10 @@ ScoreFn = Callable[[GrpoItem, str], RewardBreakdown]
 
 @dataclass
 class RolloutGroup:
-    """One prompt's K scored samples, with their completions stacked as
-    token_forward rows and the per-row constants every inner epoch reuses."""
-
     prompt: tuple[int, ...]
     samples: list[policy.SampledSequence]
     rewards: list[RewardBreakdown]
     advantages: np.ndarray
-    windows: np.ndarray
-    targets: np.ndarray
-    weights: np.ndarray  # mean over each completion's tokens, group, batch
-    adv: np.ndarray      # the advantage of each row's completion
-    logp_old: np.ndarray
-    logp_ref: np.ndarray
 
 
 @dataclass
@@ -184,17 +175,8 @@ def _collect_rollouts(state: TrainState, items: Sequence[GrpoItem],
             samples.append(seq)
             rewards.append(score_fn(item, decode(seq.tokens)))
         advantages = group_advantages([b.total for b in rewards], cfg.adv_eps)
-        windows, targets, weights = _stack_pairs(
-            state.params, [(prompt, seq.tokens) for seq in samples])
-        logp_ref, _ = policy.token_forward(state.ref_params, windows, targets,
-                                           cfg.temperature)
-        groups.append(RolloutGroup(
-            prompt=tuple(prompt), samples=samples, rewards=rewards,
-            advantages=advantages, windows=windows, targets=targets,
-            weights=weights / len(items),
-            adv=np.repeat(advantages, [len(seq.tokens) for seq in samples]),
-            logp_old=np.concatenate([seq.logprobs for seq in samples]),
-            logp_ref=logp_ref))
+        groups.append(RolloutGroup(prompt=tuple(prompt), samples=samples,
+                                   rewards=rewards, advantages=advantages))
     return groups
 
 
@@ -202,23 +184,34 @@ def _grpo_pass(state: TrainState, groups: list[RolloutGroup],
                cfg: GrpoConfig) -> dict:
     """One optimization pass over fixed rollouts: compute the clipped
     surrogate + KL loss, its exact gradient, and take one optimizer step.
-    Each prompt group is one token_forward call."""
+    Each prompt group is stacked once: one token_forward call for the
+    reference log-probs, one for the policy's log-probs and gradient."""
     params = state.params
     grad_acc: dict[str, np.ndarray] = {
         name: np.zeros_like(t) for name, t in params.trainable().items()}
+    n_prompts = len(groups)
     loss_sum = 0.0
     kl_values: list[np.ndarray] = []
     max_term_ratio = 0.0
 
     for prompt_index, grp in enumerate(groups):
-        logp_new, grad_of = policy.token_forward(params, grp.windows, grp.targets,
+        windows, targets, weights = _stack_pairs(
+            params, [(grp.prompt, seq.tokens) for seq in grp.samples])
+        weights /= n_prompts
+        adv = np.repeat(grp.advantages, [len(seq.tokens) for seq in grp.samples])
+        logp_old = np.concatenate([seq.logprobs for seq in grp.samples])
+        # [0] frees the reference's (N, V) temporaries before the policy
+        # forward; holding both slowed later greedy decoding in the process.
+        logp_ref = policy.token_forward(state.ref_params, windows, targets,
+                                        cfg.temperature)[0]
+        logp_new, grad_of = policy.token_forward(params, windows, targets,
                                                  cfg.temperature)
-        rho = np.exp(logp_new - grp.logp_old)
-        unclipped = rho * grp.adv
-        clipped = np.clip(rho, 1 - cfg.clip_eps, 1 + cfg.clip_eps) * grp.adv
+        rho = np.exp(logp_new - logp_old)
+        unclipped = rho * adv
+        clipped = np.clip(rho, 1 - cfg.clip_eps, 1 + cfg.clip_eps) * adv
         surrogate = np.minimum(unclipped, clipped)
-        kl = k3_kl(grp.logp_ref, logp_new)
-        group_loss = float(grp.weights @ (-surrogate + cfg.kl_coeff * kl))
+        kl = k3_kl(logp_ref, logp_new)
+        group_loss = float(weights @ (-surrogate + cfg.kl_coeff * kl))
         if not np.isfinite(group_loss):
             raise GrpoNaNError(
                 f"non-finite GRPO loss at step {state.step}, prompt "
@@ -226,9 +219,9 @@ def _grpo_pass(state: TrainState, groups: list[RolloutGroup],
                 step=state.step, prompt_index=prompt_index, rewards=grp.rewards)
         loss_sum += group_loss
         kl_values.append(kl)
-        moving = grp.adv != 0.0
+        moving = adv != 0.0
         if moving.any():
-            bound = (1 + cfg.clip_eps) * np.abs(grp.adv[moving])
+            bound = (1 + cfg.clip_eps) * np.abs(adv[moving])
             max_term_ratio = max(max_term_ratio,
                                  float(np.max(np.abs(surrogate[moving]) / bound)))
 
@@ -236,8 +229,8 @@ def _grpo_pass(state: TrainState, groups: list[RolloutGroup],
         # the min() gate passes gradient only where the unclipped branch
         # is active, and d(kl)/d(logp_new) = 1 - exp(logp_ref - logp_new).
         active = unclipped <= clipped
-        g = -rho * grp.adv * active + cfg.kl_coeff * (1.0 - np.exp(grp.logp_ref - logp_new))
-        for name, value in grad_of(g * grp.weights).items():
+        g = -rho * adv * active + cfg.kl_coeff * (1.0 - np.exp(logp_ref - logp_new))
+        for name, value in grad_of(g * weights).items():
             grad_acc[name] += value
 
     optimizer_step(state.optimizer, params.trainable(), grad_acc, lr=cfg.lr)
@@ -256,8 +249,7 @@ def grpo_step(state: TrainState, items: Sequence[GrpoItem], score_fn: ScoreFn,
 
     Sampling seeds derive from (cfg.seed, step_seed), so a fixed run seed
     reproduces the rollouts bit for bit. Reported loss/KL come from the
-    first pass, where rho = 1 (on-policy). The stacked token rows and the
-    reference log-probs are built with the rollouts, once per step.
+    first pass, where rho = 1 (on-policy).
     """
     groups = _collect_rollouts(state, items, score_fn, decode, cfg, step_seed)
     first = _grpo_pass(state, groups, cfg)
@@ -265,12 +257,19 @@ def grpo_step(state: TrainState, items: Sequence[GrpoItem], score_fn: ScoreFn,
         _grpo_pass(state, groups, cfg)
     state.step += 1
 
-    rewards = [b for grp in groups for b in grp.rewards]
-    metrics = {"step": state.step,
-               "mean_total": float(np.mean([b.total for b in rewards])),
-               **{f"mean_{name}": _mean_or_none([getattr(b, name) for b in rewards])
-                  for name in ("semantic", "rouge", "answer", "format", "think")},
-               **first, "lr": cfg.lr}
+    metrics = {
+        "step": state.step,
+        "mean_total": float(np.mean([b.total for grp in groups for b in grp.rewards])),
+        "mean_semantic": _mean_or_none([b.semantic for grp in groups for b in grp.rewards]),
+        "mean_rouge": _mean_or_none([b.rouge for grp in groups for b in grp.rewards]),
+        "mean_answer": _mean_or_none([b.answer for grp in groups for b in grp.rewards]),
+        "mean_format": _mean_or_none([b.format for grp in groups for b in grp.rewards]),
+        "mean_think": _mean_or_none([b.think for grp in groups for b in grp.rewards]),
+        "mean_kl": first["mean_kl"],
+        "loss": first["loss"],
+        "lr": cfg.lr,
+        "max_policy_term_ratio": first["max_policy_term_ratio"],
+    }
     return metrics, groups
 
 
