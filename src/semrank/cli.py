@@ -14,24 +14,39 @@ import csv
 import json
 import logging
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import arena as arena_mod
 from . import dataprep, mockserve, policy, synthdata, trainer
-from .embedder import (DEFAULT_TOY_DIM, EncoderEndpointConfig, make_provider,
+from .embedder import (DEFAULT_CENTROID_SAMPLE, DEFAULT_TOY_DIM,
+                       EncoderEndpointConfig, make_provider,
                        reference_centroid, sample_reference_texts)
 from .errors import ConfigError, SemrankError
 from .judge import JudgeEndpointConfig, make_judge
 from .optim import LrSchedule, make_optimizer
 from .report import render_reports
-from .rewards import RewardConfig, RewardContext, score_generation
+from .rewards import (COMPONENT_NAMES, RewardConfig, RewardContext,
+                      score_generation)
 from .tokenizers import ByteBucketVocab
 
 logger = logging.getLogger(__name__)
 
 CONFIG_VERSION = 1
+CPT_OPTIMIZERS = ("adamw", "muon", "both")  # "both" runs the two ablation arms
+
+
+def _defaults(cls) -> dict:
+    """Field name -> declared default of a dataclass."""
+    return {f.name: f.default for f in fields(cls)}
+
+
+# GrpoConfig's fields except its seed, which the top-level "seed" sets
+_GRPO = {k: v for k, v in _defaults(trainer.GrpoConfig).items() if k != "seed"}
+_REWARD, _LORA = _defaults(RewardConfig), _defaults(policy.LoraConfig)
+_ENCODER, _JUDGE = _defaults(EncoderEndpointConfig), _defaults(JudgeEndpointConfig)
 
 DEFAULT_CONFIG = {
     "version": CONFIG_VERSION,
@@ -42,7 +57,7 @@ DEFAULT_CONFIG = {
         "qa_file": None,
         "window": 4096,
         "overlap": 256,
-        "dedup_threshold": 0.9,
+        "dedup_threshold": dataprep.NEAR_DUP_THRESHOLD,
         "ratios": [0.8, 0.1, 0.1],
     },
     "policy": {"vocab_size": 64, "context_size": 16, "embed_dim": 32,
@@ -52,24 +67,23 @@ DEFAULT_CONFIG = {
     "sft": {"epochs": 4, "batch_size": 8, "lr": 3e-3, "warmup_frac": 0.1,
             "weight_decay": 0.0, "optimizer": "adamw",
             "init_checkpoint": None},
-    "grpo": {"group_size": 6, "clip_eps": 0.2, "kl_coeff": 0.05,
-             "temperature": 0.7, "steps": 1000, "adv_eps": 1e-4,
-             "prompts_per_step": 4, "max_new_tokens": 96, "inner_epochs": 1,
-             "lr": 1e-3, "weight_decay": 0.0, "checkpoint_interval": 100,
-             "lora_rank": 32, "lora_alpha": 64.0,
-             "rewards": ["semantic", "answer", "format", "think"],
-             "c": 4.0, "clamp_floor": True,
-             "centroid_sample": 256, "init_checkpoint": None},
+    "grpo": {**_GRPO, "weight_decay": 0.0,
+             "lora_rank": _LORA["rank"], "lora_alpha": _LORA["alpha"],
+             "rewards": [n for n in COMPONENT_NAMES if n in _REWARD["enabled"]],
+             "c": _REWARD["c"], "clamp_floor": _REWARD["clamp_floor"],
+             "centroid_sample": DEFAULT_CENTROID_SAMPLE, "init_checkpoint": None},
     "embedder": {"kind": "toy", "dim": DEFAULT_TOY_DIM, "base_url": None,
-                 "batch_size": 32, "timeout": 30.0},
-    "judge": {"url": None, "model": "judge", "timeout": 60.0},
-    "arena": {"k_factor": 32.0, "judges": ["mock:prefer-longer"],
+                 "batch_size": _ENCODER["batch_size"], "timeout": _ENCODER["timeout"]},
+    "judge": {"url": None, "model": _JUDGE["model"], "timeout": _JUDGE["timeout"]},
+    "arena": {"k_factor": arena_mod.DEFAULT_K_FACTOR, "judges": ["mock:prefer-longer"],
               "items_file": None, "models_dir": None, "both_orders": False},
 }
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
-    """Defaults, overlaid with the config file, overlaid with CLI flags."""
+    """Defaults, overlaid with the config file, overlaid with CLI flags.
+    A wrong-typed or out-of-range value raises ConfigError here, before any
+    command reads or writes a file."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path is not None:
         p = Path(path)
@@ -103,9 +117,64 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
             cfg.setdefault(section, {})[leaf] = value
         else:
             cfg[key] = value
-    if not isinstance(cfg.get("seed"), int):
-        raise ConfigError("config must set an explicit integer seed")
+    _check_types(cfg, DEFAULT_CONFIG)
+    for stage, kinds in (("cpt", CPT_OPTIMIZERS), ("sft", CPT_OPTIMIZERS[:2])):
+        sc = cfg[stage]
+        if sc["optimizer"] not in kinds:
+            raise ConfigError(f"config key '{stage}.optimizer' must be one of "
+                              f"{list(kinds)}, got {sc['optimizer']!r}")
+        for key in ("batch_size", "seq_len"):
+            if sc.get(key, 1) < 1:
+                raise ConfigError(f"config key '{stage}.{key}' must be >= 1, "
+                                  f"got {sc[key]}")
+    grpo_settings(cfg)
     return cfg
+
+
+def _check_types(value, default, name: str = "") -> None:
+    """value has its default's type: bool is never int, int is accepted for
+    float, a None default takes a string or null, and a list's items have
+    the type of its default's items."""
+    if isinstance(default, dict):
+        for key, leaf in default.items():
+            _check_types(value[key], leaf, f"{name}.{key}" if name else key)
+        return
+    if default is None:
+        ok = value is None or isinstance(value, str)
+    elif isinstance(value, bool) != isinstance(default, bool):
+        ok = False
+    else:
+        ok = isinstance(value, (int, float) if isinstance(default, float)
+                        else type(default))
+    if not ok:
+        expected = "str or null" if default is None else type(default).__name__
+        raise ConfigError(f"config key {name!r} must be {expected}, "
+                          f"got {json.dumps(value)}")
+    if isinstance(default, list):
+        for item in value:
+            _check_types(item, default[0], name + "[]")
+
+
+def _build(keys: str, cls, **kwargs):
+    """cls(**kwargs), with a rejected value reported against its config keys."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"config {keys}: {exc}") from exc
+
+
+def grpo_settings(cfg: dict) -> tuple[trainer.GrpoConfig, RewardConfig, policy.LoraConfig]:
+    """The GRPO section read into the trainer's, the rewards' and LoRA's
+    typed configs; a value they reject raises ConfigError."""
+    gc = cfg["grpo"]
+    return (
+        _build("section 'grpo'", trainer.GrpoConfig, seed=cfg["seed"],
+               **{k: gc[k] for k in _GRPO}),
+        _build("keys grpo.c, grpo.clamp_floor, grpo.rewards", RewardConfig,
+               c=gc["c"], clamp_floor=gc["clamp_floor"],
+               enabled=frozenset(gc["rewards"])),
+        _build("keys grpo.lora_rank, grpo.lora_alpha", policy.LoraConfig,
+               rank=gc["lora_rank"], alpha=gc["lora_alpha"]))
 
 
 def echo_config(cfg: dict, out_dir: Path) -> None:
@@ -140,13 +209,9 @@ def _provider(cfg: dict, kind_override: str | None = None):
     kind = kind_override or ec["kind"]
     endpoint = None
     if kind == "remote":
-        if ec.get("base_url"):
-            endpoint = EncoderEndpointConfig(
-                base_url=ec["base_url"], timeout=ec["timeout"],
-                batch_size=ec["batch_size"])
-        else:
-            endpoint = EncoderEndpointConfig.from_env(
-                timeout=ec["timeout"], batch_size=ec["batch_size"])
+        endpoint = EncoderEndpointConfig.from_env(
+            base_url=ec["base_url"], timeout=ec["timeout"],
+            batch_size=ec["batch_size"])
     return make_provider(kind, toy_dim=ec["dim"], endpoint=endpoint)
 
 
@@ -206,6 +271,18 @@ def _write_simple_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
             writer.writerow([row.get(c, "") for c in columns])
 
 
+def _schedule_and_optimizer(sc: dict, n_sequences: int, optimizer_kind: str):
+    """A CPT/SFT section's warmup-cosine schedule over its optimizer steps,
+    and its optimizer."""
+    steps_per_epoch = max(1, (n_sequences + sc["batch_size"] - 1) // sc["batch_size"])
+    total = steps_per_epoch * sc["epochs"]
+    schedule = LrSchedule(base_lr=sc["lr"],
+                          warmup_steps=int(total * sc["warmup_frac"]),
+                          total_steps=total)
+    return schedule, make_optimizer(optimizer_kind, lr=sc["lr"],
+                                    weight_decay=sc["weight_decay"])
+
+
 def _run_cpt(cfg: dict, optimizer_kind: str, out_dir: Path) -> tuple[Path, list[float]]:
     sc = cfg["cpt"]
     chunks_file = _require_path(Path(cfg["out_dir"]) / "corpus_chunks.jsonl",
@@ -213,13 +290,7 @@ def _run_cpt(cfg: dict, optimizer_kind: str, out_dir: Path) -> tuple[Path, list[
     chunks = [row["tokens"] for row in dataprep.read_jsonl(chunks_file)]
     params = _build_policy(cfg, seed=cfg["seed"])
     n_sequences = sum((len(c) + sc["seq_len"] - 1) // sc["seq_len"] for c in chunks)
-    steps_per_epoch = max(1, (n_sequences + sc["batch_size"] - 1) // sc["batch_size"])
-    total = steps_per_epoch * sc["epochs"]
-    schedule = LrSchedule(base_lr=sc["lr"],
-                          warmup_steps=int(total * sc["warmup_frac"]),
-                          total_steps=total)
-    optimizer = make_optimizer(optimizer_kind, lr=sc["lr"],
-                               weight_decay=sc["weight_decay"])
+    schedule, optimizer = _schedule_and_optimizer(sc, n_sequences, optimizer_kind)
     run_dir = out_dir / f"cpt_{optimizer_kind}"
     run_dir.mkdir(parents=True, exist_ok=True)
     params, losses = trainer.train_clm(
@@ -252,18 +323,12 @@ def _sft_items(cfg: dict, vocab: ByteBucketVocab) -> list[trainer.SftItem]:
 
 def _run_sft(cfg: dict, out_dir: Path) -> Path:
     sc = cfg["sft"]
-    init = sc.get("init_checkpoint") or (out_dir / "cpt_adamw" / "final.ckpt")
+    init = sc["init_checkpoint"] or (out_dir / "cpt_adamw" / "final.ckpt")
     init = _require_path(init, "sft.init_checkpoint (upstream CPT checkpoint)")
     params, _ = policy.load_checkpoint(init)
     vocab = _vocab()
     items = _sft_items(cfg, vocab)
-    steps_per_epoch = max(1, (len(items) + sc["batch_size"] - 1) // sc["batch_size"])
-    total = steps_per_epoch * sc["epochs"]
-    schedule = LrSchedule(base_lr=sc["lr"],
-                          warmup_steps=int(total * sc["warmup_frac"]),
-                          total_steps=total)
-    optimizer = make_optimizer(sc.get("optimizer", "adamw"), lr=sc["lr"],
-                               weight_decay=sc["weight_decay"])
+    schedule, optimizer = _schedule_and_optimizer(sc, len(items), sc["optimizer"])
     run_dir = out_dir / "sft"
     run_dir.mkdir(parents=True, exist_ok=True)
     params, losses = trainer.train_sft(items, params, optimizer, schedule,
@@ -296,7 +361,8 @@ def build_reward_contexts(items: list[dataprep.QaItem], provider,
 
 def _run_grpo(cfg: dict, out_dir: Path, embedder_kind: str | None) -> Path:
     gc = cfg["grpo"]
-    init = gc.get("init_checkpoint") or (out_dir / "sft" / "final.ckpt")
+    grpo_cfg, reward_cfg, lora_cfg = grpo_settings(cfg)
+    init = gc["init_checkpoint"] or (out_dir / "sft" / "final.ckpt")
     init = _require_path(init, "grpo.init_checkpoint (upstream SFT checkpoint)")
     base, init_extra = policy.load_checkpoint(init)
     if gc["steps"] == 0:
@@ -308,7 +374,6 @@ def _run_grpo(cfg: dict, out_dir: Path, embedder_kind: str | None) -> Path:
         trainer.write_metrics_csv(run_dir / "metrics.csv", [])
         print(f"grpo: 0 steps -> {final}")
         return final
-    lora_cfg = policy.LoraConfig(rank=gc["lora_rank"], alpha=gc["lora_alpha"])
     params = policy.attach_lora(base, lora_cfg, seed=cfg["seed"])
     ref = policy.detach_lora(params)
 
@@ -320,8 +385,6 @@ def _run_grpo(cfg: dict, out_dir: Path, embedder_kind: str | None) -> Path:
     if not qa_items:
         raise ConfigError("train split is empty")
     provider = _provider(cfg, embedder_kind)
-    reward_cfg = RewardConfig(c=gc["c"], clamp_floor=gc["clamp_floor"],
-                              enabled=frozenset(gc["rewards"]))
     judge_client = None
     if "judge" in reward_cfg.enabled:
         jc = cfg["judge"]
@@ -341,13 +404,6 @@ def _run_grpo(cfg: dict, out_dir: Path, embedder_kind: str | None) -> Path:
         return score_generation(text, grpo_item.payload, provider,
                                 reward_cfg, judge_client)
 
-    grpo_cfg = trainer.GrpoConfig(
-        group_size=gc["group_size"], clip_eps=gc["clip_eps"],
-        kl_coeff=gc["kl_coeff"], temperature=gc["temperature"],
-        steps=gc["steps"], adv_eps=gc["adv_eps"],
-        prompts_per_step=gc["prompts_per_step"],
-        max_new_tokens=gc["max_new_tokens"], inner_epochs=gc["inner_epochs"],
-        lr=gc["lr"], checkpoint_interval=gc["checkpoint_interval"], seed=cfg["seed"])
     state = trainer.TrainState(
         params=params, ref_params=ref,
         optimizer=make_optimizer("adamw", lr=gc["lr"],
@@ -407,11 +463,10 @@ def cmd_score(cfg: dict, generations_file: str,
                 item = dataprep.qa_item_from_dict(row)
                 qa_items[item.item_id] = item
     provider = _provider(cfg, embedder_kind)
-    gc = cfg["grpo"]
-    reward_cfg = RewardConfig(c=gc["c"], clamp_floor=gc["clamp_floor"],
-                              enabled=frozenset(gc["rewards"]) - {"judge"})
+    _, reward_cfg, _ = grpo_settings(cfg)
+    reward_cfg = replace(reward_cfg, enabled=reward_cfg.enabled - {"judge"})
     contexts, _ = build_reward_contexts(list(qa_items.values()), provider,
-                                        gc["centroid_sample"], cfg["seed"])
+                                        cfg["grpo"]["centroid_sample"], cfg["seed"])
     rows = []
     for row in dataprep.read_jsonl(gen_path):
         item_id = str(row.get("item_id"))
@@ -464,7 +519,7 @@ def cmd_arena(cfg: dict, judges_flag: str | None) -> int:
     if any(s.startswith("http") for s in judge_specs):
         jc = cfg["judge"]
         base_judge_cfg = JudgeEndpointConfig.from_env(
-            url=jc.get("url") or judge_specs[0], model=jc["model"],
+            url=jc["url"] or judge_specs[0], model=jc["model"],
             timeout=jc["timeout"])
     judges = [make_judge(s.strip(), base_judge_cfg) for s in judge_specs]
 
@@ -556,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run one training stage")
     p.add_argument("stage", choices=["cpt", "sft", "grpo"])
     common(p)
-    p.add_argument("--optimizer", choices=["adamw", "muon", "both"], default=None)
+    p.add_argument("--optimizer", choices=CPT_OPTIMIZERS, default=None)
     p.add_argument("--steps", type=int, default=None, help="GRPO steps override")
     p.add_argument("--embedder", choices=["toy", "remote"], default=None)
 

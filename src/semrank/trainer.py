@@ -59,7 +59,7 @@ class GrpoConfig:
     steps: int = 1000
     adv_eps: float = 1e-4
     prompts_per_step: int = 4
-    max_new_tokens: int = 128
+    max_new_tokens: int = 96
     inner_epochs: int = 1
     lr: float = 1e-3
     checkpoint_interval: int = 100

@@ -4,8 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from semrank.cli import main
+from semrank.cli import _provider, load_config, main
 from semrank.dataprep import read_jsonl
+from semrank.embedder import RemoteEncoder
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, **overrides):
@@ -280,3 +283,52 @@ class TestConfig:
         assert main(["prepare", "--config", str(cfg)]) == 0
         echo = json.loads((tmp_path / "out" / "config_echo.json").read_text())
         assert echo["seed"] == 7
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("grpo", "group_size", 1),
+        ("grpo", "clip_eps", 1.5),
+        ("grpo", "rewards", ["nope"]),
+        ("grpo", "lora_rank", 0),
+        ("grpo", "c", 0),
+        ("grpo", "steps", "2"),
+        (None, "seed", True),
+        ("cpt", "epochs", "1"),
+        ("cpt", "optimizer", "sgd"),
+        ("cpt", "batch_size", 0),
+    ])
+    def test_bad_value_exit_2_before_any_output(self, tmp_path, capsys,
+                                                section, key, value):
+        overrides = {section: {key: value}} if section else {key: value}
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["train", "grpo", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out" / "config_echo.json").exists()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("grpo", "lr", 1),
+        ("grpo", "init_checkpoint", None),
+        ("sft", "init_checkpoint", None),
+    ])
+    def test_accepted_value_loads_as_given(self, tmp_path, section, key, value):
+        cfg = load_config(str(write_config(tmp_path, **{section: {key: value}})))
+        assert cfg[section][key] == value
+
+    def test_readme_quick_start_config_loads(self, tmp_path):
+        text = README.read_text(encoding="utf-8")
+        quick_start = text.split("<<'JSON'\n")[1].split("\nJSON\n")[0]
+        path = tmp_path / "config.json"
+        path.write_text(quick_start)
+        cfg = load_config(str(path))
+        assert cfg["grpo"]["max_new_tokens"] == 96 and cfg["seed"] == 7
+
+
+class TestProvider:
+    def test_config_url_keeps_env_token(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SEMRANK_EMBED_URL", "http://127.0.0.1:9/env")
+        monkeypatch.setenv("SEMRANK_EMBED_TOKEN", "secret")
+        cfg = load_config(str(write_config(
+            tmp_path, embedder={"base_url": "http://127.0.0.1:9/config"})))
+        provider = _provider(cfg, "remote")
+        assert isinstance(provider, RemoteEncoder)
+        assert provider.cfg.base_url == "http://127.0.0.1:9/config"
+        assert provider.cfg.auth_token == "secret"
