@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import logging
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import arena as arena_mod
 from . import dataprep, mockserve, policy, synthdata, trainer
-from .embedder import (DEFAULT_CENTROID_SAMPLE, DEFAULT_TOY_DIM,
+from .embedder import (DEFAULT_CENTROID_SAMPLE, DEFAULT_TOY_DIM, PROVIDER_KINDS,
                        EncoderEndpointConfig, make_provider,
                        reference_centroid, sample_reference_texts)
 from .errors import ConfigError, SemrankError
@@ -43,10 +45,19 @@ def _defaults(cls) -> dict:
     return {f.name: f.default for f in fields(cls)}
 
 
+def _keyword_defaults(fn) -> dict:
+    """Parameter name -> default of a function's defaulted parameters."""
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not p.empty}
+
+
 # GrpoConfig's fields except its seed, which the top-level "seed" sets
 _GRPO = {k: v for k, v in _defaults(trainer.GrpoConfig).items() if k != "seed"}
 _REWARD, _LORA = _defaults(RewardConfig), _defaults(policy.LoraConfig)
 _ENCODER, _JUDGE = _defaults(EncoderEndpointConfig), _defaults(JudgeEndpointConfig)
+# init_params' seed is the top-level "seed"
+_POLICY = {k: v for k, v in _keyword_defaults(policy.init_params).items() if k != "seed"}
+_CLM = _keyword_defaults(trainer.train_clm)
 
 DEFAULT_CONFIG = {
     "version": CONFIG_VERSION,
@@ -60,9 +71,9 @@ DEFAULT_CONFIG = {
         "dedup_threshold": dataprep.NEAR_DUP_THRESHOLD,
         "ratios": [0.8, 0.1, 0.1],
     },
-    "policy": {"vocab_size": 64, "context_size": 16, "embed_dim": 32,
-               "hidden_dim": 64, "init_scale": 0.08},
-    "cpt": {"epochs": 5, "seq_len": 128, "batch_size": 8, "lr": 3e-3,
+    "policy": _POLICY,
+    "cpt": {"epochs": _CLM["epochs"], "seq_len": _CLM["seq_len"],
+            "batch_size": _CLM["batch_size"], "lr": 3e-3,
             "warmup_frac": 0.1, "weight_decay": 0.0, "optimizer": "adamw"},
     "sft": {"epochs": 4, "batch_size": 8, "lr": 3e-3, "warmup_frac": 0.1,
             "weight_decay": 0.0, "optimizer": "adamw",
@@ -74,7 +85,8 @@ DEFAULT_CONFIG = {
              "centroid_sample": DEFAULT_CENTROID_SAMPLE, "init_checkpoint": None},
     "embedder": {"kind": "toy", "dim": DEFAULT_TOY_DIM, "base_url": None,
                  "batch_size": _ENCODER["batch_size"], "timeout": _ENCODER["timeout"]},
-    "judge": {"url": None, "model": _JUDGE["model"], "timeout": _JUDGE["timeout"]},
+    # a null model leaves the choice to SEMRANK_JUDGE_MODEL, then JudgeEndpointConfig
+    "judge": {"url": None, "model": None, "timeout": _JUDGE["timeout"]},
     "arena": {"k_factor": arena_mod.DEFAULT_K_FACTOR, "judges": ["mock:prefer-longer"],
               "items_file": None, "models_dir": None, "both_orders": False},
 }
@@ -123,18 +135,24 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
         if sc["optimizer"] not in kinds:
             raise ConfigError(f"config key '{stage}.optimizer' must be one of "
                               f"{list(kinds)}, got {sc['optimizer']!r}")
-        for key in ("batch_size", "seq_len"):
+        for key in ("batch_size", "seq_len", "epochs"):
             if sc.get(key, 1) < 1:
                 raise ConfigError(f"config key '{stage}.{key}' must be >= 1, "
                                   f"got {sc[key]}")
+        if not 0 <= sc["warmup_frac"] <= 1:
+            raise ConfigError(f"config key '{stage}.warmup_frac' must be in [0, 1], "
+                              f"got {sc['warmup_frac']}")
+    if cfg["embedder"]["kind"] not in PROVIDER_KINDS:
+        raise ConfigError(f"config key 'embedder.kind' must be one of "
+                          f"{list(PROVIDER_KINDS)}, got {cfg['embedder']['kind']!r}")
     grpo_settings(cfg)
     return cfg
 
 
 def _check_types(value, default, name: str = "") -> None:
     """value has its default's type: bool is never int, int is accepted for
-    float, a None default takes a string or null, and a list's items have
-    the type of its default's items."""
+    float, a float is finite, a None default takes a string or null, and a
+    list's items have the type of its default's items."""
     if isinstance(default, dict):
         for key, leaf in default.items():
             _check_types(value[key], leaf, f"{name}.{key}" if name else key)
@@ -150,6 +168,8 @@ def _check_types(value, default, name: str = "") -> None:
         expected = "str or null" if default is None else type(default).__name__
         raise ConfigError(f"config key {name!r} must be {expected}, "
                           f"got {json.dumps(value)}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config key {name!r} must be finite, got {value}")
     if isinstance(default, list):
         for item in value:
             _check_types(item, default[0], name + "[]")
@@ -197,11 +217,7 @@ def _vocab() -> ByteBucketVocab:
 
 
 def _build_policy(cfg: dict, seed: int) -> policy.PolicyParams:
-    pc = cfg["policy"]
-    return policy.init_params(
-        vocab_size=pc["vocab_size"], context_size=pc["context_size"],
-        embed_dim=pc["embed_dim"], hidden_dim=pc["hidden_dim"],
-        seed=seed, init_scale=pc["init_scale"])
+    return policy.init_params(seed=seed, **cfg["policy"])
 
 
 def _provider(cfg: dict, kind_override: str | None = None):
@@ -213,6 +229,15 @@ def _provider(cfg: dict, kind_override: str | None = None):
             base_url=ec["base_url"], timeout=ec["timeout"],
             batch_size=ec["batch_size"])
     return make_provider(kind, toy_dim=ec["dim"], endpoint=endpoint)
+
+
+def judge_endpoint(cfg: dict, url: str | None = None) -> JudgeEndpointConfig:
+    """The judge section as an endpoint: its url (else `url`, else
+    SEMRANK_JUDGE_URL), its model (else SEMRANK_JUDGE_MODEL, else
+    JudgeEndpointConfig's default), its timeout."""
+    jc = cfg["judge"]
+    return JudgeEndpointConfig.from_env(url=jc["url"] or url, model=jc["model"],
+                                        timeout=jc["timeout"])
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +412,8 @@ def _run_grpo(cfg: dict, out_dir: Path, embedder_kind: str | None) -> Path:
     provider = _provider(cfg, embedder_kind)
     judge_client = None
     if "judge" in reward_cfg.enabled:
-        jc = cfg["judge"]
-        judge_client = make_judge(jc["url"] or "", JudgeEndpointConfig.from_env(
-            url=jc["url"], model=jc["model"], timeout=jc["timeout"]))
+        endpoint = judge_endpoint(cfg)
+        judge_client = make_judge(endpoint.url, endpoint)
 
     contexts, _ = build_reward_contexts(qa_items, provider,
                                         gc["centroid_sample"], cfg["seed"])
@@ -517,10 +541,7 @@ def cmd_arena(cfg: dict, judges_flag: str | None) -> int:
     judge_specs = (judges_flag.split(",") if judges_flag else ac["judges"])
     base_judge_cfg = None
     if any(s.startswith("http") for s in judge_specs):
-        jc = cfg["judge"]
-        base_judge_cfg = JudgeEndpointConfig.from_env(
-            url=jc["url"] or judge_specs[0], model=jc["model"],
-            timeout=jc["timeout"])
+        base_judge_cfg = judge_endpoint(cfg, url=judge_specs[0])
     judges = [make_judge(s.strip(), base_judge_cfg) for s in judge_specs]
 
     gold = {str(it["item_id"]): it["answer"] for it in items if "answer" in it}
@@ -613,13 +634,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--optimizer", choices=CPT_OPTIMIZERS, default=None)
     p.add_argument("--steps", type=int, default=None, help="GRPO steps override")
-    p.add_argument("--embedder", choices=["toy", "remote"], default=None)
+    p.add_argument("--embedder", choices=PROVIDER_KINDS, default=None)
 
     p = sub.add_parser("score", help="reward breakdown CSV for generations")
     common(p)
     p.add_argument("--generations", required=True,
                    help="JSON-lines file with {item_id, text}")
-    p.add_argument("--embedder", choices=["toy", "remote"], default=None)
+    p.add_argument("--embedder", choices=PROVIDER_KINDS, default=None)
 
     p = sub.add_parser("arena", help="pairwise judged tournament")
     common(p)

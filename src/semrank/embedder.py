@@ -219,6 +219,9 @@ class RemoteEncoder:
         return vectors
 
 
+PROVIDER_KINDS = ("toy", "remote")
+
+
 def make_provider(kind: str, toy_dim: int = DEFAULT_TOY_DIM,
                   endpoint: EncoderEndpointConfig | None = None) -> EmbeddingProvider:
     """Provider factory behind the CLI's --embedder {toy, remote} flag."""

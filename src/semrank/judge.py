@@ -115,7 +115,7 @@ class JudgeEndpointConfig:
         if not url:
             raise ValueError(f"no judge URL: set {JUDGE_URL_ENV} or pass url")
         token = overrides.pop("auth_token", None) or os.environ.get(JUDGE_TOKEN_ENV)
-        model = overrides.pop("model", None) or os.environ.get(JUDGE_MODEL_ENV, "judge")
+        model = overrides.pop("model", None) or os.environ.get(JUDGE_MODEL_ENV) or cls.model
         return cls(url=url, model=model, auth_token=token, **overrides)
 
 

@@ -222,19 +222,15 @@ def forward_logits(params: PolicyParams, context) -> np.ndarray:
     if ctx.shape != (params.context_size,):
         raise ValueError(
             f"context must have exactly {params.context_size} tokens, got {ctx.shape}")
-    x = params.E[ctx].ravel()
-    h = np.tanh(x @ params.effective("W1") + params.b1)
-    return h @ params.effective("W2") + params.b2
+    return _next_logits(params, params.effective("W1"), params.effective("W2"),
+                        ctx[None])[0]
 
 
-def _pad_context(ids: np.ndarray, context_size: int) -> np.ndarray:
-    """Last context_size ids, left-padded with PAD_ID."""
-    if len(ids) >= context_size:
-        return ids[-context_size:]
-    out = np.full(context_size, PAD_ID, dtype=np.int64)
-    if len(ids):
-        out[-len(ids):] = ids
-    return out
+def _next_logits(params: PolicyParams, w1: np.ndarray, w2: np.ndarray,
+                 windows: np.ndarray) -> np.ndarray:
+    """Next-token logits for (B, C) windows, given the effective W1 and W2."""
+    x = params.E.take(windows, axis=0).reshape(len(windows), -1)
+    return np.tanh(x @ w1 + params.b1) @ w2 + params.b2
 
 
 def stack_windows(params: PolicyParams, pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -331,54 +327,76 @@ def logprob_sequence(params: PolicyParams, prompt, completion,
     return token_forward(params, windows, targets, temperature)[0]
 
 
-def sample_sequence(params: PolicyParams, prompt, temperature: float = 1.0,
-                    max_len: int = 128, stop_token: int = EOS_ID,
-                    rng_seed: int = 0) -> SampledSequence:
-    """Ancestral sampling from softmax(logits / temperature).
-
-    Stops after emitting stop_token or at max_len. Temperatures below
-    1e-6 switch to greedy argmax; the recorded logprob of a greedy token
-    is 0.0 (the log-probability under the degenerate argmax distribution).
+def generate(params: PolicyParams, prompts, temperature: float, max_len: int,
+             seeds=None, stop_token: int = EOS_ID) -> list[SampledSequence]:
+    """Ancestral sampling from softmax(logits / temperature), all prompts in
+    lockstep: each step is one forward over the live rows, and a row stops
+    after emitting stop_token or at max_len. Row b draws its uniforms up
+    front from default_rng(seeds[b]) and compares each with the token cdf,
+    the one draw Generator.choice(p=...) makes, so rows are independent.
+    Temperatures below 1e-6 switch to greedy argmax and need no seeds; a
+    greedy token's recorded logprob is 0.0 (that of the argmax distribution).
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     if temperature <= 0:
         raise ValueError("temperature must be positive (use <1e-6 for greedy)")
-    prompt = _check_tokens(params, prompt)
-    rng = np.random.default_rng(rng_seed)
+    prompts = [_check_tokens(params, p) for p in prompts]
     greedy = temperature < GREEDY_TEMPERATURE_CUTOFF
+    if not greedy:
+        if seeds is None or len(seeds) != len(prompts):
+            raise ValueError("sampling needs one seed per prompt")
+        uniforms = np.array([np.random.default_rng(s).random(max_len) for s in seeds])
 
-    w1 = params.effective("W1")
-    w2 = params.effective("W2")
-    ctx = _pad_context(prompt, params.context_size).copy()
-    tokens: list[int] = []
-    logprobs: list[float] = []
-    for _ in range(max_len):
-        x = params.E[ctx].ravel()
-        logits = np.tanh(x @ w1 + params.b1) @ w2 + params.b2
+    # Row b's window at step t is buf[b, t:t + C]: its prompt's last C ids,
+    # left-padded with PAD_ID, then the tokens it has emitted.
+    C = params.context_size
+    buf = np.full((len(prompts), C + max_len), PAD_ID, dtype=np.int64)
+    for b, prompt in enumerate(prompts):
+        tail = prompt[-C:]
+        buf[b, C - len(tail):C] = tail
+    logprobs = np.zeros((len(prompts), max_len))
+    lengths = np.full(len(prompts), max_len)
+    # All rows until one stops: a slice, not an index array, keeps the
+    # one-row greedy shell as cheap per token as a plain loop.
+    live = slice(None)
+    w1, w2 = params.effective("W1"), params.effective("W2")
+    for t in range(max_len):
+        logits = _next_logits(params, w1, w2, buf[live, t:t + C])
         if greedy:
-            tok = int(np.argmax(logits))
-            lp = 0.0
+            tok = logits.argmax(axis=1)
         else:
             logp = _log_softmax(logits / temperature)
             p = np.exp(logp)
-            p /= p.sum()
-            tok = int(rng.choice(params.vocab_size, p=p))
-            lp = float(logp[tok])
-        tokens.append(tok)
-        logprobs.append(lp)
-        if tok == stop_token:
-            break
-        ctx[:-1] = ctx[1:]
-        ctx[-1] = tok
-    return SampledSequence(tokens=tuple(tokens), logprobs=tuple(logprobs),
-                           prompt_len=len(prompt))
+            p /= p.sum(axis=1, keepdims=True)
+            cdf = p.cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+            tok = (cdf <= uniforms[live, t, None]).sum(axis=1)
+            logprobs[live, t] = logp[np.arange(len(tok)), tok]
+        buf[live, C + t] = tok
+        if stop_token in tok.tolist():  # cheaper per token than an array test
+            rows = np.arange(len(prompts))[live]
+            lengths[rows[tok == stop_token]] = t + 1
+            live = rows[tok != stop_token]
+            if not len(live):
+                break
+    return [SampledSequence(tokens=tuple(buf[b, C:C + n].tolist()),
+                            logprobs=tuple(logprobs[b, :n].tolist()),
+                            prompt_len=len(prompt))
+            for b, (prompt, n) in enumerate(zip(prompts, lengths))]
+
+
+def sample_sequence(params: PolicyParams, prompt, temperature: float = 1.0,
+                    max_len: int = 128, stop_token: int = EOS_ID,
+                    rng_seed: int = 0) -> SampledSequence:
+    """One prompt sampled by generate, with seed rng_seed."""
+    return generate(params, [prompt], temperature, max_len, [rng_seed], stop_token)[0]
 
 
 def greedy_decode(params: PolicyParams, prompt, max_len: int = 128,
                   stop_token: int = EOS_ID) -> list[int]:
-    seq = sample_sequence(params, prompt, temperature=GREEDY_TEMPERATURE_CUTOFF / 10,
-                          max_len=max_len, stop_token=stop_token)
+    seq = generate(params, [prompt], GREEDY_TEMPERATURE_CUTOFF / 10, max_len,
+                   stop_token=stop_token)[0]
     return list(seq.tokens)
 
 

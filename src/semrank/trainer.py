@@ -30,7 +30,6 @@ from . import policy
 from .errors import SemrankError
 from .optim import AdamWState, LrSchedule, MuonState, lr_at, optimizer_step
 from .rewards import RewardBreakdown
-from .tokenizers import EOS_ID
 
 logger = logging.getLogger(__name__)
 
@@ -60,7 +59,6 @@ class GrpoConfig:
     adv_eps: float = 1e-4
     prompts_per_step: int = 4
     max_new_tokens: int = 96
-    inner_epochs: int = 1
     lr: float = 1e-3
     checkpoint_interval: int = 100
     seed: int = 0
@@ -74,8 +72,10 @@ class GrpoConfig:
             raise ValueError("kl_coeff must be >= 0")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
-        if self.inner_epochs < 1:
-            raise ValueError("inner_epochs must be >= 1")
+        if self.steps < 0:
+            raise ValueError("steps must be >= 0")
+        if self.prompts_per_step < 1:
+            raise ValueError("prompts_per_step must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -160,22 +160,20 @@ def _stack_pairs(params: policy.PolicyParams,
 def _collect_rollouts(state: TrainState, items: Sequence[GrpoItem],
                       score_fn: ScoreFn, decode: Callable[[Sequence[int]], str],
                       cfg: GrpoConfig, step_seed: int) -> list[RolloutGroup]:
+    """Every prompt's K completions from one generate call, row (i, k) seeded
+    by (cfg.seed, step_seed, i, k), then scored prompt by prompt."""
+    K = cfg.group_size
+    samples = policy.generate(
+        state.params, [item.prompt_tokens for item in items for _ in range(K)],
+        cfg.temperature, cfg.max_new_tokens,
+        seeds=[np.random.SeedSequence(entropy=cfg.seed, spawn_key=(step_seed, i, k))
+               for i in range(len(items)) for k in range(K)])
     groups = []
-    for prompt_index, item in enumerate(items):
-        prompt = list(item.prompt_tokens)
-        samples = []
-        rewards = []
-        for k in range(cfg.group_size):
-            seed = np.random.SeedSequence(
-                entropy=cfg.seed, spawn_key=(step_seed, prompt_index, k))
-            seq = policy.sample_sequence(
-                state.params, prompt, temperature=cfg.temperature,
-                max_len=cfg.max_new_tokens, stop_token=EOS_ID,
-                rng_seed=seed)
-            samples.append(seq)
-            rewards.append(score_fn(item, decode(seq.tokens)))
+    for i, item in enumerate(items):
+        group = samples[i * K:(i + 1) * K]
+        rewards = [score_fn(item, decode(seq.tokens)) for seq in group]
         advantages = group_advantages([b.total for b in rewards], cfg.adv_eps)
-        groups.append(RolloutGroup(prompt=tuple(prompt), samples=samples,
+        groups.append(RolloutGroup(prompt=tuple(item.prompt_tokens), samples=group,
                                    rewards=rewards, advantages=advantages))
     return groups
 
@@ -184,59 +182,48 @@ def _grpo_pass(state: TrainState, groups: list[RolloutGroup],
                cfg: GrpoConfig) -> dict:
     """One optimization pass over fixed rollouts: compute the clipped
     surrogate + KL loss, its exact gradient, and take one optimizer step.
-    Each prompt group is stacked once: one token_forward call for the
+    The step's completions are stacked once: one token_forward call for the
     reference log-probs, one for the policy's log-probs and gradient."""
     params = state.params
-    grad_acc: dict[str, np.ndarray] = {
-        name: np.zeros_like(t) for name, t in params.trainable().items()}
-    n_prompts = len(groups)
-    loss_sum = 0.0
-    kl_values: list[np.ndarray] = []
-    max_term_ratio = 0.0
+    samples = [seq for grp in groups for seq in grp.samples]
+    windows, targets, weights = _stack_pairs(
+        params, [(grp.prompt, seq.tokens) for grp in groups for seq in grp.samples])
+    lengths = [len(seq.tokens) for seq in samples]
+    adv = np.repeat(np.concatenate([grp.advantages for grp in groups]), lengths)
+    logp_old = np.concatenate([seq.logprobs for seq in samples])
+    # [0] frees the reference's (N, V) temporaries before the policy
+    # forward; holding both slowed later greedy decoding in the process.
+    logp_ref = policy.token_forward(state.ref_params, windows, targets,
+                                    cfg.temperature)[0]
+    logp_new, grad_of = policy.token_forward(params, windows, targets,
+                                             cfg.temperature)
+    rho = np.exp(logp_new - logp_old)
+    unclipped = rho * adv
+    clipped = np.clip(rho, 1 - cfg.clip_eps, 1 + cfg.clip_eps) * adv
+    surrogate = np.minimum(unclipped, clipped)
+    kl = k3_kl(logp_ref, logp_new)
+    group_tokens = [sum(len(seq.tokens) for seq in grp.samples) for grp in groups]
+    group_loss = np.add.reduceat(weights * (-surrogate + cfg.kl_coeff * kl),
+                                 np.cumsum([0] + group_tokens[:-1]))
+    finite = np.isfinite(group_loss)
+    if not finite.all():
+        i = int(np.argmin(finite))  # the first non-finite group
+        raise GrpoNaNError(f"non-finite GRPO loss at step {state.step}, prompt {i}",
+                           step=state.step, prompt_index=i, rewards=groups[i].rewards)
+    moving = adv != 0.0
+    bound = (1 + cfg.clip_eps) * np.abs(adv[moving])
+    max_term_ratio = float(np.max(np.abs(surrogate[moving]) / bound, initial=0.0))
 
-    for prompt_index, grp in enumerate(groups):
-        windows, targets, weights = _stack_pairs(
-            params, [(grp.prompt, seq.tokens) for seq in grp.samples])
-        weights /= n_prompts
-        adv = np.repeat(grp.advantages, [len(seq.tokens) for seq in grp.samples])
-        logp_old = np.concatenate([seq.logprobs for seq in grp.samples])
-        # [0] frees the reference's (N, V) temporaries before the policy
-        # forward; holding both slowed later greedy decoding in the process.
-        logp_ref = policy.token_forward(state.ref_params, windows, targets,
-                                        cfg.temperature)[0]
-        logp_new, grad_of = policy.token_forward(params, windows, targets,
-                                                 cfg.temperature)
-        rho = np.exp(logp_new - logp_old)
-        unclipped = rho * adv
-        clipped = np.clip(rho, 1 - cfg.clip_eps, 1 + cfg.clip_eps) * adv
-        surrogate = np.minimum(unclipped, clipped)
-        kl = k3_kl(logp_ref, logp_new)
-        group_loss = float(weights @ (-surrogate + cfg.kl_coeff * kl))
-        if not np.isfinite(group_loss):
-            raise GrpoNaNError(
-                f"non-finite GRPO loss at step {state.step}, prompt "
-                f"{prompt_index}",
-                step=state.step, prompt_index=prompt_index, rewards=grp.rewards)
-        loss_sum += group_loss
-        kl_values.append(kl)
-        moving = adv != 0.0
-        if moving.any():
-            bound = (1 + cfg.clip_eps) * np.abs(adv[moving])
-            max_term_ratio = max(max_term_ratio,
-                                 float(np.max(np.abs(surrogate[moving]) / bound)))
-
-        # d loss / d logp_new, per token, with all averaging folded in:
-        # the min() gate passes gradient only where the unclipped branch
-        # is active, and d(kl)/d(logp_new) = 1 - exp(logp_ref - logp_new).
-        active = unclipped <= clipped
-        g = -rho * adv * active + cfg.kl_coeff * (1.0 - np.exp(logp_ref - logp_new))
-        for name, value in grad_of(g * weights).items():
-            grad_acc[name] += value
-
-    optimizer_step(state.optimizer, params.trainable(), grad_acc, lr=cfg.lr)
+    # d loss / d logp_new, per token, with all averaging folded in:
+    # the min() gate passes gradient only where the unclipped branch
+    # is active, and d(kl)/d(logp_new) = 1 - exp(logp_ref - logp_new).
+    active = unclipped <= clipped
+    g = -rho * adv * active + cfg.kl_coeff * (1.0 - np.exp(logp_ref - logp_new))
+    optimizer_step(state.optimizer, params.trainable(), grad_of(g * weights),
+                   lr=cfg.lr)
     return {
-        "loss": loss_sum,
-        "mean_kl": float(np.mean(np.concatenate(kl_values))) if kl_values else 0.0,
+        "loss": float(group_loss.sum()),
+        "mean_kl": float(np.mean(kl)),
         "max_policy_term_ratio": max_term_ratio,
     }
 
@@ -244,17 +231,15 @@ def _grpo_pass(state: TrainState, groups: list[RolloutGroup],
 def grpo_step(state: TrainState, items: Sequence[GrpoItem], score_fn: ScoreFn,
               decode: Callable[[Sequence[int]], str], cfg: GrpoConfig,
               step_seed: int) -> tuple[dict, list[RolloutGroup]]:
-    """One GRPO step: sample the groups, then cfg.inner_epochs optimization
-    passes over them. Returns (metrics, rollouts).
+    """One GRPO step: sample the groups, then one optimization pass over
+    them. Returns (metrics, rollouts).
 
     Sampling seeds derive from (cfg.seed, step_seed), so a fixed run seed
-    reproduces the rollouts bit for bit. Reported loss/KL come from the
-    first pass, where rho = 1 (on-policy).
+    reproduces the rollouts bit for bit. Reported loss/KL are those of the
+    pass, where rho = 1 (on-policy).
     """
     groups = _collect_rollouts(state, items, score_fn, decode, cfg, step_seed)
-    first = _grpo_pass(state, groups, cfg)
-    for _ in range(cfg.inner_epochs - 1):
-        _grpo_pass(state, groups, cfg)
+    update = _grpo_pass(state, groups, cfg)
     state.step += 1
 
     metrics = {
@@ -265,10 +250,10 @@ def grpo_step(state: TrainState, items: Sequence[GrpoItem], score_fn: ScoreFn,
         "mean_answer": _mean_or_none([b.answer for grp in groups for b in grp.rewards]),
         "mean_format": _mean_or_none([b.format for grp in groups for b in grp.rewards]),
         "mean_think": _mean_or_none([b.think for grp in groups for b in grp.rewards]),
-        "mean_kl": first["mean_kl"],
-        "loss": first["loss"],
+        "mean_kl": update["mean_kl"],
+        "loss": update["loss"],
         "lr": cfg.lr,
-        "max_policy_term_ratio": first["max_policy_term_ratio"],
+        "max_policy_term_ratio": update["max_policy_term_ratio"],
     }
     return metrics, groups
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from semrank.cli import _provider, load_config, main
+from semrank.cli import _provider, judge_endpoint, load_config, main
 from semrank.dataprep import read_jsonl
 from semrank.embedder import RemoteEncoder
 
@@ -295,6 +295,16 @@ class TestConfig:
         ("cpt", "epochs", "1"),
         ("cpt", "optimizer", "sgd"),
         ("cpt", "batch_size", 0),
+        ("grpo", "lr", float("nan")),
+        ("grpo", "temperature", float("inf")),
+        ("grpo", "steps", -3),
+        ("grpo", "prompts_per_step", 0),
+        ("grpo", "inner_epochs", 2),
+        ("cpt", "epochs", -1),
+        ("cpt", "warmup_frac", 2),
+        ("sft", "epochs", 0),
+        ("sft", "warmup_frac", -0.5),
+        ("embedder", "kind", "nope"),
     ])
     def test_bad_value_exit_2_before_any_output(self, tmp_path, capsys,
                                                 section, key, value):
@@ -332,3 +342,25 @@ class TestProvider:
         assert isinstance(provider, RemoteEncoder)
         assert provider.cfg.base_url == "http://127.0.0.1:9/config"
         assert provider.cfg.auth_token == "secret"
+
+
+class TestJudgeEndpoint:
+    URL = "http://127.0.0.1:9/v1/chat/completions"
+
+    def test_env_model_applies_to_default_config(self, monkeypatch):
+        monkeypatch.setenv("SEMRANK_JUDGE_MODEL", "big")
+        assert judge_endpoint(load_config(None), url=self.URL).model == "big"
+
+    def test_config_model_wins_over_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SEMRANK_JUDGE_MODEL", "big")
+        cfg = load_config(str(write_config(
+            tmp_path, judge={"url": self.URL, "model": "small"})))
+        assert judge_endpoint(cfg).model == "small"
+
+    def test_no_model_anywhere_takes_dataclass_default(self, monkeypatch):
+        monkeypatch.delenv("SEMRANK_JUDGE_MODEL", raising=False)
+        assert judge_endpoint(load_config(None), url=self.URL).model == "judge"
+
+    def test_env_url_applies_when_config_sets_none(self, monkeypatch):
+        monkeypatch.setenv("SEMRANK_JUDGE_URL", self.URL)
+        assert judge_endpoint(load_config(None)).url == self.URL

@@ -3,7 +3,7 @@ import pytest
 
 from semrank import policy
 from semrank.policy import (LoraConfig, SampledSequence, attach_lora, backward,
-                            detach_lora, forward_logits, greedy_decode,
+                            detach_lora, forward_logits, generate, greedy_decode,
                             init_params, load_checkpoint, logprob_sequence,
                             merge_lora, sample_sequence, save_checkpoint)
 from semrank.errors import CheckpointError
@@ -191,6 +191,97 @@ class TestSampling:
     def test_sampled_sequence_invariant(self):
         with pytest.raises(ValueError):
             SampledSequence(tokens=(1, 2), logprobs=(-0.5,), prompt_len=1)
+
+
+def choice_sample(params, prompt, temperature, max_len, seed):
+    """One row sampled token by token with Generator.choice: the reference
+    stream generate must reproduce."""
+    rng = np.random.default_rng(seed)
+    ctx = ([PAD_ID] * params.context_size + list(prompt))[-params.context_size:]
+    tokens, logprobs = [], []
+    for _ in range(max_len):
+        z = forward_logits(params, ctx) / temperature
+        logp = z - z.max() - np.log(np.exp(z - z.max()).sum())
+        p = np.exp(logp)
+        tok = int(rng.choice(len(p), p=p / p.sum()))
+        tokens.append(tok)
+        logprobs.append(float(logp[tok]))
+        if tok == EOS_ID:
+            break
+        ctx = ctx[1:] + [tok]
+    return tokens, logprobs
+
+
+class TestGenerate:
+    PROMPTS = [[1, 2], [], [3, 4, 5, 6, 1], [2], [6, 6], [1, 2]]
+
+    def test_rows_match_choice_reference(self):
+        params = tiny(seed=21)
+        out = generate(params, self.PROMPTS, 1.3, 12, seeds=range(6))
+        for b, (prompt, seq) in enumerate(zip(self.PROMPTS, out)):
+            tokens, logprobs = choice_sample(params, prompt, 1.3, 12, b)
+            assert list(seq.tokens) == tokens
+            assert np.allclose(seq.logprobs, logprobs, rtol=0, atol=1e-12)
+            assert seq.prompt_len == len(prompt)
+
+    def test_batch_equals_one_row_calls(self):
+        params = attach_lora(tiny(seed=22), LoraConfig(rank=2, alpha=4.0), seed=1)
+        a, b = params.lora["W1"]
+        params.lora["W1"] = (a, np.random.default_rng(0).normal(0, 0.3, b.shape))
+        seeds = [np.random.SeedSequence(entropy=3, spawn_key=(0, b)) for b in range(6)]
+        out = generate(params, self.PROMPTS, 0.7, 15, seeds)
+        for prompt, seed, seq in zip(self.PROMPTS, seeds, out):
+            one = sample_sequence(params, prompt, temperature=0.7, max_len=15,
+                                  rng_seed=seed)
+            assert seq.tokens == one.tokens
+            assert np.allclose(seq.logprobs, one.logprobs, rtol=0, atol=1e-12)
+
+    def test_row_independent_of_neighbours_and_order(self):
+        params = tiny(seed=23)
+        out = generate(params, self.PROMPTS, 1.1, 20, seeds=range(6))
+        order = [4, 0, 5, 2, 1, 3]
+        shuffled = generate(params, [self.PROMPTS[i] for i in order], 1.1, 20,
+                            seeds=order)
+        alone = generate(params, [self.PROMPTS[2]], 1.1, 20, seeds=[2])[0]
+        for j, i in enumerate(order):
+            assert shuffled[j].tokens == out[i].tokens
+            assert np.allclose(shuffled[j].logprobs, out[i].logprobs,
+                               rtol=0, atol=1e-12)
+        assert alone.tokens == out[2].tokens
+
+    def test_batched_greedy_equals_greedy_decode(self):
+        params = tiny(seed=24)
+        out = generate(params, self.PROMPTS, 1e-8, 10)
+        for prompt, seq in zip(self.PROMPTS, out):
+            assert list(seq.tokens) == greedy_decode(params, prompt, max_len=10)
+            assert seq.logprobs == (0.0,) * len(seq.tokens)
+
+    def test_max_len_cuts_every_row(self):
+        params = tiny(seed=25)
+        out = generate(params, self.PROMPTS, 1.0, 4, seeds=range(6),
+                       stop_token=params.vocab_size)  # a token never emitted
+        assert [len(seq.tokens) for seq in out] == [4] * 6
+
+    def test_nothing_follows_stop_token_in_any_row(self):
+        params = tiny(seed=7)
+        prompts = [[1]] * 40
+        out = generate(params, prompts, 1.5, 5, seeds=range(40))
+        stopped = [seq for seq in out if EOS_ID in seq.tokens]
+        assert stopped and len(stopped) < len(out)
+        for seq in stopped:
+            assert seq.tokens.index(EOS_ID) == len(seq.tokens) - 1
+        assert all(len(seq.tokens) == 5 for seq in out if seq not in stopped)
+
+    def test_input_validation(self):
+        params = tiny()
+        with pytest.raises(ValueError):
+            generate(params, [[1]], 1.0, 0, seeds=[0])
+        with pytest.raises(ValueError):
+            generate(params, [[1]], 0.0, 5, seeds=[0])
+        with pytest.raises(ValueError):
+            generate(params, [[1], [0, 99]], 1.0, 5, seeds=[0, 1])
+        with pytest.raises(ValueError):
+            generate(params, [[1], [2]], 1.0, 5, seeds=[0])
 
 
 class TestBackward:

@@ -9,9 +9,9 @@ from semrank.optim import AdamWState, LrSchedule
 from semrank.rewards import RewardBreakdown
 from semrank.tokenizers import ByteBucketVocab, EOS_ID
 from semrank.trainer import (GrpoConfig, GrpoItem, GrpoNaNError, SftItem,
-                             TrainState, grpo_step, group_advantages, k3_kl,
-                             run_grpo, sft_loss, train_clm, train_sft,
-                             write_metrics_csv)
+                             TrainState, _collect_rollouts, grpo_step,
+                             group_advantages, k3_kl, run_grpo, sft_loss,
+                             train_clm, train_sft, write_metrics_csv)
 
 
 def tiny_policy(seed=0, context=4):
@@ -226,6 +226,24 @@ class TestGrpoStep:
         assert excinfo.value.prompt_index == 0
         assert len(excinfo.value.rewards) == 2
 
+    def test_nan_in_second_group_names_prompt_1(self):
+        state = make_state(seed=20)
+        before = state.params.digest()
+
+        def nan_for_b(item, text):
+            value = float("nan") if item.item_id == "b" else len(text) / 10
+            return RewardBreakdown(format=value, total=value)
+
+        cfg = GrpoConfig(group_size=2, steps=1, prompts_per_step=3,
+                         max_new_tokens=4, seed=3)
+        items = [GrpoItem(item_id=name, prompt_tokens=(1, i))
+                 for i, name in enumerate("abc")]
+        with pytest.raises(GrpoNaNError) as excinfo:
+            grpo_step(state, items, nan_for_b, decode_ids, cfg, step_seed=0)
+        assert excinfo.value.prompt_index == 1
+        assert all(np.isnan(r.total) for r in excinfo.value.rewards)
+        assert state.params.digest() == before
+
     def test_only_lora_parameters_move(self):
         state = make_state(seed=14, lr=5e-2)
         base_digest = policy.detach_lora(state.params).digest()
@@ -242,6 +260,30 @@ class TestGrpoStep:
         moved = any(np.abs(b).max() > 0
                     for (a, b) in state.params.lora.values())
         assert moved
+
+
+class TestCollectRollouts:
+    def test_matches_per_row_sample_sequence(self):
+        state = make_state(seed=19)
+        cfg = GrpoConfig(group_size=3, prompts_per_step=3, max_new_tokens=7,
+                         temperature=0.9, seed=5)
+        items = [GrpoItem(item_id=str(i), prompt_tokens=(1, i + 2)) for i in range(3)]
+        groups = _collect_rollouts(state, items, length_score, decode_ids, cfg,
+                                   step_seed=4)
+        assert len(groups) == 3
+        for i, grp in enumerate(groups):
+            assert grp.prompt == items[i].prompt_tokens
+            assert len(grp.samples) == 3
+            for k, seq in enumerate(grp.samples):
+                one = policy.sample_sequence(
+                    state.params, items[i].prompt_tokens, temperature=0.9,
+                    max_len=7, stop_token=EOS_ID,
+                    rng_seed=np.random.SeedSequence(entropy=5, spawn_key=(4, i, k)))
+                assert seq.tokens == one.tokens
+                assert np.allclose(seq.logprobs, one.logprobs, rtol=0, atol=1e-12)
+            assert [r.total for r in grp.rewards] == [
+                length_score(items[i], decode_ids(seq.tokens)).total
+                for seq in grp.samples]
 
 
 class TestRunGrpo:
