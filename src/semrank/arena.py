@@ -11,18 +11,16 @@ as a second, order-independent estimator for robustness reporting.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
-from .judge import JudgeClient, build_pair_prompt, judge_name, parse_verdict_reply
+from .judge import (JudgeClient, build_pair_prompt, judge_name, parse_verdict_reply,
+                    parsed_judgement)
 from .rewards import RewardContext, answer_reward
 from .text_protocol import TaggedOutput, parse_tagged
-
-logger = logging.getLogger(__name__)
 
 INITIAL_RATING = 1500.0
 DEFAULT_K_FACTOR = 32.0
@@ -105,18 +103,7 @@ def judge_pair(item: dict, explanation_a: str, explanation_b: str,
         else (explanation_b, explanation_a)
     prompt = build_pair_prompt(item.get("question", ""), first, second)
 
-    verdict = None
-    for attempt in range(2):
-        reply = judge_client.complete(prompt)
-        verdict = parse_verdict_reply(reply)
-        if verdict is not None:
-            break
-        if attempt == 0:
-            logger.warning("unparseable judge verdict %r, retrying once", reply[:80])
-    if verdict is None:
-        logger.warning("verdict unparseable after retry, recording TIE")
-        verdict = "TIE"
-
+    verdict = parsed_judgement(judge_client, prompt, parse_verdict_reply, "TIE")
     if verdict == "TIE":
         outcome = "TIE"
     elif verdict == "1":

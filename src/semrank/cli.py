@@ -10,13 +10,12 @@ output directory and is reproducible from config + seed alone. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
 import json
 import logging
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,8 +54,9 @@ def _keyword_defaults(fn) -> dict:
 _GRPO = {k: v for k, v in _defaults(trainer.GrpoConfig).items() if k != "seed"}
 _REWARD, _LORA = _defaults(RewardConfig), _defaults(policy.LoraConfig)
 _ENCODER, _JUDGE = _defaults(EncoderEndpointConfig), _defaults(JudgeEndpointConfig)
-# init_params' seed is the top-level "seed"
-_POLICY = {k: v for k, v in _keyword_defaults(policy.init_params).items() if k != "seed"}
+# init_params' seed is the top-level "seed", its vocab size the tokenizer's
+_POLICY = {k: v for k, v in _keyword_defaults(policy.init_params).items()
+           if k not in ("seed", "vocab_size")}
 _CLM = _keyword_defaults(trainer.train_clm)
 
 DEFAULT_CONFIG = {
@@ -217,7 +217,8 @@ def _vocab() -> ByteBucketVocab:
 
 
 def _build_policy(cfg: dict, seed: int) -> policy.PolicyParams:
-    return policy.init_params(seed=seed, **cfg["policy"])
+    return policy.init_params(vocab_size=ByteBucketVocab.size, seed=seed,
+                              **cfg["policy"])
 
 
 def _provider(cfg: dict, kind_override: str | None = None):
@@ -267,11 +268,8 @@ def cmd_prepare(cfg: dict) -> int:
     raw_items = [dataprep.qa_item_from_dict(row, i)
                  for i, row in enumerate(dataprep.read_jsonl(qa_file))]
     kept, rejected = dataprep.filter_items(raw_items)
-    with open(out_dir / "rejections.csv", "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["item_id", "reason"])
-        for r in rejected:
-            writer.writerow([r.item_id, r.reason])
+    trainer.write_metrics_csv(out_dir / "rejections.csv",
+                              [asdict(r) for r in rejected], ["item_id", "reason"])
 
     splits = dataprep.stratified_split(kept, ratios=tuple(dp["ratios"]),
                                        seed=cfg["seed"])
@@ -287,14 +285,6 @@ def cmd_prepare(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
-
-def _write_simple_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row.get(c, "") for c in columns])
-
 
 def _schedule_and_optimizer(sc: dict, n_sequences: int, optimizer_kind: str):
     """A CPT/SFT section's warmup-cosine schedule over its optimizer steps,
@@ -327,7 +317,7 @@ def _run_cpt(cfg: dict, optimizer_kind: str, out_dir: Path) -> tuple[Path, list[
                                                 "seed": cfg["seed"]})
     rows = [{"step": i + 1, "loss": loss, "lr": ""}
             for i, loss in enumerate(losses)]
-    _write_simple_csv(run_dir / "metrics.csv", rows, ["step", "loss", "lr"])
+    trainer.write_metrics_csv(run_dir / "metrics.csv", rows, ["step", "loss", "lr"])
     print(f"cpt[{optimizer_kind}]: epoch losses "
           f"{[round(x, 4) for x in losses]} -> {ckpt}")
     return ckpt, losses
@@ -363,7 +353,7 @@ def _run_sft(cfg: dict, out_dir: Path) -> Path:
     ckpt = run_dir / "final.ckpt"
     policy.save_checkpoint(params, ckpt, extra={"stage": "sft", "seed": cfg["seed"]})
     rows = [{"step": i + 1, "loss": loss, "lr": ""} for i, loss in enumerate(losses)]
-    _write_simple_csv(run_dir / "metrics.csv", rows, ["step", "loss", "lr"])
+    trainer.write_metrics_csv(run_dir / "metrics.csv", rows, ["step", "loss", "lr"])
     print(f"sft: epoch losses {[round(x, 4) for x in losses]} -> {ckpt}")
     return ckpt
 
@@ -451,8 +441,8 @@ def cmd_train(cfg: dict, stage: str, optimizer: str | None,
             rows = [{"step": i + 1,
                      "loss_adamw": a, "loss_muon": m}
                     for i, (a, m) in enumerate(zip(losses_a, losses_m))]
-            _write_simple_csv(out_dir / "cpt_ablation.csv", rows,
-                              ["step", "loss_adamw", "loss_muon"])
+            trainer.write_metrics_csv(out_dir / "cpt_ablation.csv", rows,
+                                      ["step", "loss_adamw", "loss_muon"])
         else:
             _run_cpt(cfg, kind, out_dir)
         return 0
@@ -503,7 +493,7 @@ def cmd_score(cfg: dict, generations_file: str,
         entry.update(breakdown.components())
         rows.append(entry)
     out_path = out_dir / "rewards.csv"
-    _write_simple_csv(out_path, rows, SCORE_COLUMNS)
+    trainer.write_metrics_csv(out_path, rows, SCORE_COLUMNS)
     print(f"score: {len(rows)} rows -> {out_path}")
     return 0
 
@@ -562,10 +552,10 @@ def cmd_arena(cfg: dict, judges_flag: str | None) -> int:
             ratings_rows.append({"model": model, "judge": jname,
                                  "elo": table.ratings[model],
                                  "games": table.games[model]})
-    _write_simple_csv(out_dir / "ratings.csv", ratings_rows,
-                      list(arena_mod.RATINGS_COLUMNS))
-    _write_simple_csv(out_dir / "aggregate.csv", report.aggregate,
-                      list(arena_mod.AGGREGATE_COLUMNS))
+    trainer.write_metrics_csv(out_dir / "ratings.csv", ratings_rows,
+                              arena_mod.RATINGS_COLUMNS)
+    trainer.write_metrics_csv(out_dir / "aggregate.csv", report.aggregate,
+                              arena_mod.AGGREGATE_COLUMNS)
     best = report.aggregate[0]
     print(f"arena: {len(report.matches)} matches, top model "
           f"{best['model']} (mean elo {best['mean_elo']:.1f}) -> "
@@ -603,10 +593,17 @@ def cmd_report(cfg: dict) -> int:
     return 0
 
 
-def cmd_serve(kind: str, mode: str, port: int, fail_status: int, dim: int) -> int:
-    behavior = mockserve.StubBehavior(mode=mode, fail_status=fail_status, dim=dim)
-    mockserve.run_forever(kind, behavior, port)
-    return 0
+def serve_stub(args: argparse.Namespace) -> mockserve.StubServer:
+    """The unstarted stub that `semrank serve` runs, in its kind's default
+    mode when --mode is not given. A mode the kind does not serve raises
+    ConfigError before any port is bound."""
+    mode = args.mode or mockserve.DEFAULT_MODES[args.kind]
+    behavior = mockserve.StubBehavior(mode=mode, fail_status=args.fail_status,
+                                      dim=args.dim)
+    try:
+        return mockserve.StubServer(args.kind, behavior, args.port)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +654,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="run an embedding or judge stub server")
     p.add_argument("kind", choices=["embed", "judge"])
-    p.add_argument("--mode", default="toy-embed")
+    defaults = ", ".join(f"{mode} for {kind}"
+                         for kind, mode in mockserve.DEFAULT_MODES.items())
+    p.add_argument("--mode", default=None, help=f"stub mode (default: {defaults})")
     p.add_argument("--port", type=int, default=8080)
     p.add_argument("--fail-status", type=int, default=500)
     p.add_argument("--dim", type=int, default=DEFAULT_TOY_DIM)
@@ -670,8 +669,8 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         if args.command == "serve":
-            return cmd_serve(args.kind, args.mode, args.port,
-                             args.fail_status, args.dim)
+            mockserve.run_forever(serve_stub(args))
+            return 0
         overrides = {"seed": getattr(args, "seed", None),
                      "out_dir": getattr(args, "out", None)}
         if getattr(args, "steps", None) is not None:

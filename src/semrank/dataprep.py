@@ -1,10 +1,10 @@
 """Corpus and Q&A preparation: cleaning, paragraph dedup, overlapping
 chunking, item filtering, stratified splitting, and instruction conversion.
 
-All operations are deterministic given their seed. The tokenizer is
-pluggable: any callable from text to a token list works. The byte vocab
-tokenizer produces policy-compatible ids (the pipeline default); a
-whitespace+punctuation word tokenizer is available for corpus statistics.
+All operations are deterministic given their seed. Near-duplicate
+shingles are word k-grams from the whitespace+punctuation word tokenizer.
+chunk_tokens windows a token sequence it is given; `semrank prepare`
+encodes with the byte vocab tokenizer, whose ids the policy reads.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,10 +38,10 @@ OCR_SUBSTITUTIONS = {
 
 # Line-level filters: bare page numbers ("42", "pagina 42", "pag. 42"),
 # and decorative separator rows.
-DEFAULT_LINE_FILTERS = (
+_LINE_FILTERS = tuple(re.compile(p, re.IGNORECASE) for p in (
     r"^\s*(?:pagina|pag\.?)?\s*\d{1,4}\s*$",
     r"^\s*[-_=*.·]{3,}\s*$",
-)
+))
 
 _TAG_RE = re.compile(r"<[^>\n]+>")
 _IMAGE_PATTERNS = re.compile(r"figura|immagine|<img\b|!\[", re.IGNORECASE)
@@ -89,7 +89,7 @@ class QaItem:
             raise ValueError(f"difficulty must be 1-3, got {self.difficulty}")
 
 
-def clean_text(raw: str, line_filters: Sequence[str] = DEFAULT_LINE_FILTERS) -> str:
+def clean_text(raw: str) -> str:
     """Strip HTML tags, decode entities, apply the OCR table, and drop
     filtered lines, preserving blank-line paragraph structure."""
     text = raw
@@ -97,10 +97,9 @@ def clean_text(raw: str, line_filters: Sequence[str] = DEFAULT_LINE_FILTERS) -> 
         text = text.replace(src, dst)
     text = _TAG_RE.sub("", text)
     text = html.unescape(text)
-    patterns = [re.compile(p, re.IGNORECASE) for p in line_filters]
     kept = []
     for line in text.split("\n"):
-        if any(p.match(line) for p in patterns):
+        if any(p.match(line) for p in _LINE_FILTERS):
             continue
         kept.append(line.rstrip())
     cleaned = "\n".join(kept)
@@ -113,16 +112,17 @@ def split_paragraphs(text: str) -> list[str]:
     return [p.strip() for p in re.split(r"\n\s*\n", text) if p.strip()]
 
 
-def _shingles(tokens: list[str], k: int = SHINGLE_SIZE) -> set[tuple[str, ...]]:
+def _shingles(tokens: list[str]) -> set[tuple[str, ...]]:
+    k = SHINGLE_SIZE
     if len(tokens) < k:
         return {tuple(tokens)} if tokens else set()
     return {tuple(tokens[i:i + k]) for i in range(len(tokens) - k + 1)}
 
 
-def shingle_jaccard(a: str, b: str, k: int = SHINGLE_SIZE) -> float:
-    """Jaccard similarity of word k-gram shingle sets."""
-    sa = _shingles(word_tokenize(a), k)
-    sb = _shingles(word_tokenize(b), k)
+def shingle_jaccard(a: str, b: str) -> float:
+    """Jaccard similarity of word SHINGLE_SIZE-gram shingle sets."""
+    sa = _shingles(word_tokenize(a))
+    sb = _shingles(word_tokenize(b))
     if not sa and not sb:
         return 1.0
     if not sa or not sb:
@@ -131,8 +131,7 @@ def shingle_jaccard(a: str, b: str, k: int = SHINGLE_SIZE) -> float:
 
 
 def dedup_paragraphs(paragraphs: Sequence[str],
-                     threshold: float = NEAR_DUP_THRESHOLD,
-                     shingle_size: int = SHINGLE_SIZE) -> list[str]:
+                     threshold: float = NEAR_DUP_THRESHOLD) -> list[str]:
     """Keep first occurrences; drop exact matches (normalized) and
     near-duplicates whose shingle Jaccard with an earlier survivor is
     >= threshold."""
@@ -144,7 +143,7 @@ def dedup_paragraphs(paragraphs: Sequence[str],
         norm = " ".join(para.split()).casefold()
         if norm in seen_exact:
             continue
-        shingles = _shingles(word_tokenize(para), shingle_size)
+        shingles = _shingles(word_tokenize(para))
         size = len(shingles)
         dup = False
         for other, other_size in zip(survivor_shingles, survivor_sizes):
@@ -214,20 +213,17 @@ def filter_items(items: Sequence[QaItem]) -> tuple[list[QaItem], list[Rejection]
 
 def stratified_split(items: Sequence[QaItem],
                      ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
-                     seed: int = 0,
-                     key: Callable[[QaItem], tuple] | None = None,
-                     ) -> dict[str, list[QaItem]]:
+                     seed: int = 0) -> dict[str, list[QaItem]]:
     """Seeded per-stratum shuffle, then largest-remainder assignment.
 
-    Strata default to (subject, difficulty). Remainder ties go to the
-    earlier split in (train, dev, test) order.
+    Strata are (subject, difficulty). Remainder ties go to the earlier
+    split in (train, dev, test) order.
     """
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {ratios}")
-    key = key or (lambda it: (it.subject, it.difficulty))
     strata: dict[tuple, list[QaItem]] = {}
     for item in items:
-        strata.setdefault(key(item), []).append(item)
+        strata.setdefault((item.subject, item.difficulty), []).append(item)
 
     rng = np.random.default_rng(seed)
     splits: dict[str, list[QaItem]] = {name: [] for name in SPLIT_NAMES}

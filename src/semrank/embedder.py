@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -231,6 +231,3 @@ def make_provider(kind: str, toy_dim: int = DEFAULT_TOY_DIM,
         cfg = endpoint or EncoderEndpointConfig.from_env()
         return RemoteEncoder(cfg)
     raise ValueError(f"unknown embedder kind: {kind!r}")
-
-
-Embedder = Callable[[Sequence[str]], list[np.ndarray]]

@@ -13,8 +13,8 @@ from __future__ import annotations
 import logging
 import os
 import re
-from dataclasses import dataclass
-from typing import Protocol
+from dataclasses import dataclass, replace
+from typing import Callable, Protocol, TypeVar
 
 from ._http import HttpStatusError, HttpTransportError, post_json
 from .errors import JudgeServiceError
@@ -63,6 +63,8 @@ e' migliore, oppure "TIE" se nessuna delle due e' chiaramente superiore.
 
 Verdetto:"""
 
+T = TypeVar("T")
+
 _INT_RE = re.compile(r"\d+")
 _VERDICT_RE = re.compile(r"\b(tie|pareggio|1|2)\b", re.IGNORECASE)
 
@@ -99,6 +101,24 @@ def extract_section(prompt: str, name: str) -> str:
 
 class JudgeClient(Protocol):
     def complete(self, prompt: str) -> str: ...
+
+
+def parsed_judgement(client: JudgeClient, prompt: str,
+                     parse: Callable[[str], T | None], fallback: T) -> T:
+    """parse(reply) for the judge's reply to prompt.
+
+    An unparseable reply is retried once with the same prompt; a second
+    one logs a warning and gives fallback. Transport errors propagate.
+    """
+    for attempt in range(2):
+        reply = client.complete(prompt)
+        value = parse(reply)
+        if value is not None:
+            return value
+        if attempt == 0:
+            logger.warning("unparseable judge reply %r, retrying once", reply[:80])
+    logger.warning("judge reply unparseable after retry, using %r", fallback)
+    return fallback
 
 
 @dataclass
@@ -145,7 +165,7 @@ class HttpJudgeClient:
         raise JudgeServiceError(f"judge endpoint failed: {last}") from last
 
 
-def judge_reply(mode: str, prompt: str, seed: int = 0) -> str:
+def judge_reply(mode: str, prompt: str) -> str:
     """Deterministic judge behavior, shared by MockJudge and the wire stub.
 
     Modes: fixed-score:<n> (constant reply), prefer-longer, prefer-shorter,
@@ -196,13 +216,12 @@ def judge_reply(mode: str, prompt: str, seed: int = 0) -> str:
 class MockJudge:
     """In-process judge with a deterministic rule; name appears in reports."""
 
-    def __init__(self, mode: str, seed: int = 0):
+    def __init__(self, mode: str):
         self.mode = mode
-        self.seed = seed
         self.name = f"mock:{mode}"
 
     def complete(self, prompt: str) -> str:
-        return judge_reply(self.mode, prompt, self.seed)
+        return judge_reply(self.mode, prompt)
 
 
 def make_judge(spec: str, cfg: JudgeEndpointConfig | None = None) -> JudgeClient:
@@ -211,9 +230,7 @@ def make_judge(spec: str, cfg: JudgeEndpointConfig | None = None) -> JudgeClient
         return MockJudge(spec.split(":", 1)[1])
     if spec.startswith(("http://", "https://")):
         base = cfg or JudgeEndpointConfig.from_env(url=spec)
-        return HttpJudgeClient(JudgeEndpointConfig(
-            url=spec, model=base.model, timeout=base.timeout,
-            auth_token=base.auth_token, max_retries=base.max_retries))
+        return HttpJudgeClient(replace(base, url=spec))
     raise ValueError(f"unknown judge spec: {spec!r}")
 
 

@@ -4,7 +4,7 @@ The embed stub answers POST /embed with toy-embedder vectors (or a
 configured failure status); the judge stub answers chat-completions POSTs
 by delegating to the same rule table the in-process mock judges use, so
 the HTTP path and the in-process path cannot drift. Both are stateless:
-responses are pure functions of (mode, seed, request body).
+responses are pure functions of (mode, request body).
 """
 
 from __future__ import annotations
@@ -18,16 +18,29 @@ from .embedder import DEFAULT_TOY_DIM, embed_toy
 from .judge import judge_reply
 
 EMBED_MODES = ("toy-embed", "fail-with-status")
+# fixed-score also takes its reply as fixed-score:<n>, n in 0..10
 JUDGE_MODES = ("fixed-score", "prefer-longer", "prefer-shorter",
                "prefer-lexical-overlap", "garbage")
+DEFAULT_MODES = {"embed": "toy-embed", "judge": "prefer-lexical-overlap"}
 
 
 @dataclass(frozen=True)
 class StubBehavior:
     mode: str = "toy-embed"
-    seed: int = 0
     fail_status: int = 500
     dim: int = DEFAULT_TOY_DIM
+
+
+def _check_mode(kind: str, mode: str) -> None:
+    name, _, score = mode.partition(":")
+    if kind == "embed":
+        ok = mode in EMBED_MODES
+    else:
+        ok = mode in JUDGE_MODES or (name == "fixed-score" and score.isdigit()
+                                     and int(score) <= 10)
+    if not ok:
+        modes = EMBED_MODES if kind == "embed" else (*JUDGE_MODES, "fixed-score:<n>")
+        raise ValueError(f"unknown {kind} stub mode {mode!r}; expected one of {list(modes)}")
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -82,7 +95,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         except (KeyError, IndexError, TypeError):
             self._send(400, {"error": "chat-completions payload expected"})
             return
-        reply = judge_reply(behavior.mode, prompt, behavior.seed)
+        reply = judge_reply(behavior.mode, prompt)
         self._send(200, {
             "model": payload.get("model", "stub"),
             "choices": [{"index": 0, "message": {"role": "assistant",
@@ -91,14 +104,17 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 
 class StubServer:
-    """A running stub on 127.0.0.1; use as a context manager in tests.
+    """A stub on 127.0.0.1, serving once started; use as a context manager
+    in tests.
 
-    stats counts requests and records per-request batch sizes.
+    A kind or mode it does not serve raises ValueError before the port is
+    bound. stats counts requests and records per-request batch sizes.
     """
 
     def __init__(self, kind: str, behavior: StubBehavior, port: int = 0):
-        if kind not in ("embed", "judge"):
+        if kind not in DEFAULT_MODES:
             raise ValueError(f"kind must be embed or judge, got {kind!r}")
+        _check_mode(kind, behavior.mode)
         self.kind = kind
         self.behavior = behavior
         self.stats = {"requests": 0, "batch_sizes": [], "paths": [],
@@ -147,10 +163,11 @@ def serve_judge(behavior: StubBehavior, port: int = 0) -> StubServer:
     return StubServer("judge", behavior, port).start()
 
 
-def run_forever(kind: str, behavior: StubBehavior, port: int) -> None:
-    """Blocking variant for the CLI's serve subcommand."""
-    server = StubServer(kind, behavior, port)
-    print(f"serving {kind} stub (mode={behavior.mode}) on {server.base_url}")
+def run_forever(server: StubServer) -> None:
+    """Serve an unstarted stub until interrupted, for the CLI's serve
+    subcommand."""
+    print(f"serving {server.kind} stub (mode={server.behavior.mode}) "
+          f"on {server.base_url}")
     try:
         server._server.serve_forever()
     except KeyboardInterrupt:

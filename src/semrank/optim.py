@@ -5,8 +5,8 @@ Muon replaces each matrix parameter's momentum update with its approximate
 nearest semi-orthogonal matrix, computed by a fixed-coefficient quintic
 Newton-Schulz iteration, then rescales by 0.2*sqrt(max(rows, cols)) so one
 learning rate works for both optimizers. Everything that is not routed to
-Muon (biases, the embedding table by default, anything 1-D) falls back to
-an embedded AdamW with the same learning rate and weight decay.
+Muon (the embedding table E and every 1-D parameter) falls back to an
+embedded AdamW with the same learning rate and weight decay.
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ def newton_schulz(G: np.ndarray, steps: int = 5) -> np.ndarray:
     X <- a X + (b (X X^T) + c (X X^T)^2) X. Wide orientation (rows <= cols)
     is required by the polynomial, so tall matrices are transposed in and
     back out. A zero matrix returns zero (documented degenerate case).
+
+    The quintic's slope at 0 is a = 3.4445, so 5 steps lift a singular
+    value by at most a**5, about 486x: a singular value below about
+    1e-3 * ||G||_F ends below 0.5 instead of near 1.
     """
     if steps < 1:
         raise ValueError("newton_schulz needs steps >= 1")
@@ -119,17 +123,14 @@ def adamw_step(state: AdamWState, params: dict[str, np.ndarray],
 class MuonState:
     """Momentum buffers for matrix params plus an AdamW fallback for the rest.
 
-    The embedding table counts as non-matrix by default (adamw_names),
-    matching the convention of excluding embeddings from orthogonalized
-    updates; override adamw_names to change the routing.
+    The embedding table E goes to the fallback with the 1-D params,
+    following the convention of excluding embeddings from orthogonalized
+    updates.
     """
 
     lr: float = 1e-3
     momentum: float = 0.95
-    ns_steps: int = 5
     weight_decay: float = 0.0
-    nesterov: bool = False
-    adamw_names: frozenset[str] = frozenset({"E"})
     buffers: dict[str, np.ndarray] = field(default_factory=dict)
     fallback: AdamWState | None = None
 
@@ -138,15 +139,11 @@ class MuonState:
             self.fallback = AdamWState(lr=self.lr, weight_decay=self.weight_decay)
 
 
-def _muon_routed(state: MuonState, name: str, p: np.ndarray) -> bool:
-    return p.ndim == 2 and name not in state.adamw_names
-
-
 def muon_step(state: MuonState, params: dict[str, np.ndarray],
               grads: dict[str, np.ndarray], lr: float | None = None) -> None:
     """One Muon update, in place.
 
-    Matrix params: M <- mu*M + g, O = newton_schulz(M),
+    Matrix params other than E: M <- mu*M + g, O = newton_schulz(M),
     P <- P - lr * 0.2*sqrt(max(rows, cols)) * O - lr*weight_decay*P.
     Everything else goes through the embedded AdamW at the same lr.
     """
@@ -155,15 +152,14 @@ def muon_step(state: MuonState, params: dict[str, np.ndarray],
     fallback_grads = {}
     for name, p in params.items():
         g = grads[name]
-        if not _muon_routed(state, name, p):
+        if p.ndim != 2 or name == "E":
             fallback_params[name] = p
             fallback_grads[name] = g
             continue
         buf = state.buffers.setdefault(name, np.zeros_like(p))
         buf *= state.momentum
         buf += g
-        update = g + state.momentum * buf if state.nesterov else buf
-        ortho = newton_schulz(update, state.ns_steps)
+        ortho = newton_schulz(buf)
         scale = 0.2 * math.sqrt(max(p.shape))
         if state.weight_decay:
             p -= lr * state.weight_decay * p
@@ -172,12 +168,12 @@ def muon_step(state: MuonState, params: dict[str, np.ndarray],
         adamw_step(state.fallback, fallback_params, fallback_grads, lr=lr)
 
 
-def make_optimizer(kind: str, lr: float, weight_decay: float = 0.0,
-                   **kwargs) -> AdamWState | MuonState:
+def make_optimizer(kind: str, lr: float,
+                   weight_decay: float = 0.0) -> AdamWState | MuonState:
     if kind == "adamw":
-        return AdamWState(lr=lr, weight_decay=weight_decay, **kwargs)
+        return AdamWState(lr=lr, weight_decay=weight_decay)
     if kind == "muon":
-        return MuonState(lr=lr, weight_decay=weight_decay, **kwargs)
+        return MuonState(lr=lr, weight_decay=weight_decay)
     raise ValueError(f"unknown optimizer: {kind!r}")
 
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from .embedder import EmbeddingProvider, cosine
 from .errors import JudgeServiceError
-from .judge import JudgeClient, build_score_prompt, parse_score_reply
+from .judge import (JudgeClient, build_score_prompt, parse_score_reply,
+                    parsed_judgement)
 from .text_protocol import TaggedOutput, normalize_answer, parse_tagged
 from .tokenizers import word_tokenize
 
@@ -160,15 +161,7 @@ def judge_reward(generated: str, ctx: RewardContext, judge_client: JudgeClient) 
     failure scores 0 with a warning. Transport errors propagate.
     """
     prompt = build_score_prompt(candidate=generated, reference=ctx.gt_explanation)
-    for attempt in range(2):
-        reply = judge_client.complete(prompt)
-        score = parse_score_reply(reply)
-        if score is not None:
-            return score / 10.0
-        if attempt == 0:
-            logger.warning("unparseable judge score %r, retrying once", reply[:80])
-    logger.warning("judge score unparseable after retry, scoring 0")
-    return 0.0
+    return parsed_judgement(judge_client, prompt, parse_score_reply, 0) / 10.0
 
 
 def explanation_text(out: TaggedOutput, generated: str) -> str:

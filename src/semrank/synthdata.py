@@ -124,7 +124,7 @@ def qa_items(n: int = 60, seed: int = 0, include_rejects: bool = False) -> list[
 # full format and copy chain.
 #
 # Think blocks are empty in most targets and carry a short constant in a
-# minority (think_fraction), mirroring demonstration data that only rarely
+# minority (THINK_FRACTION), mirroring demonstration data that only rarely
 # externalizes reasoning: after SFT the greedy policy leaves think empty
 # (no think reward), while the reward-shaped GRPO stage can amplify the
 # minority mode it was never the argmax of. That gap is the honest headroom
@@ -150,15 +150,14 @@ def tag_task_explanation(letter: str) -> str:
     return f"vale {letter}"
 
 
-def tag_task_items(n: int, seed: int = 0, start_index: int = 0,
-                   think_fraction: float = THINK_FRACTION) -> list[dict]:
+def tag_task_items(n: int, seed: int = 0, start_index: int = 0) -> list[dict]:
     """Items as dicts: item_id, prompt, completion, answer, explanation."""
     rng = np.random.default_rng(seed)
     items = []
     for i in range(n):
         index = start_index + i
         letter = ANSWER_LETTERS[int(rng.integers(4))]
-        think = THINK_SNIPPET if rng.random() < think_fraction else ""
+        think = THINK_SNIPPET if rng.random() < THINK_FRACTION else ""
         items.append({
             "item_id": f"tag{index:04d}",
             "prompt": tag_task_prompt(index, letter),

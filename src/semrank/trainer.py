@@ -260,8 +260,10 @@ def grpo_step(state: TrainState, items: Sequence[GrpoItem], score_fn: ScoreFn,
 
 def write_metrics_csv(path, rows: list[dict],
                       columns: Sequence[str] = METRICS_COLUMNS) -> None:
-    """Stable column order; absent (None) components become empty cells."""
-    with open(path, "w", newline="") as f:
+    """Rows as UTF-8 CSV under a header of columns, in that order; a missing
+    or None value is an empty cell. Every CSV the pipeline emits is written
+    here."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(columns)
         for row in rows:

@@ -4,9 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from semrank.cli import _provider, judge_endpoint, load_config, main
+from semrank._http import post_json
+from semrank.cli import (_provider, build_parser, judge_endpoint, load_config,
+                         main, serve_stub)
 from semrank.dataprep import read_jsonl
 from semrank.embedder import RemoteEncoder
+from semrank.judge import build_score_prompt
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -305,6 +308,7 @@ class TestConfig:
         ("sft", "epochs", 0),
         ("sft", "warmup_frac", -0.5),
         ("embedder", "kind", "nope"),
+        ("policy", "vocab_size", 32),
     ])
     def test_bad_value_exit_2_before_any_output(self, tmp_path, capsys,
                                                 section, key, value):
@@ -364,3 +368,25 @@ class TestJudgeEndpoint:
     def test_env_url_applies_when_config_sets_none(self, monkeypatch):
         monkeypatch.setenv("SEMRANK_JUDGE_URL", self.URL)
         assert judge_endpoint(load_config(None)).url == self.URL
+
+
+class TestServe:
+    @pytest.mark.parametrize("kind,mode", [
+        ("judge", "toy-embed"),
+        ("judge", "fixed-score:x"),
+        ("judge", "fixed-score:11"),
+        ("embed", "prefer-longer"),
+    ])
+    def test_mode_the_kind_does_not_serve_exit_2(self, capsys, kind, mode):
+        assert main(["serve", kind, "--mode", mode, "--port", "0"]) == 2
+        assert mode in capsys.readouterr().err
+
+    def test_default_judge_mode_answers_a_scoring_prompt(self):
+        args = build_parser().parse_args(["serve", "judge", "--port", "0"])
+        prompt = build_score_prompt(candidate="la cellula vive",
+                                    reference="la cellula vive")
+        with serve_stub(args) as stub:
+            reply = post_json(stub.judge_url, {
+                "model": "stub", "messages": [{"role": "user", "content": prompt}]},
+                timeout=10)
+        assert reply["choices"][0]["message"]["content"] == "10"
