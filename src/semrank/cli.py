@@ -2,8 +2,9 @@
 report, serve, and synth.
 
 Configuration is a single versioned JSON file; CLI flags override the
-matching config fields. Every command echoes the effective config into the
-output directory and is reproducible from config + seed alone. Exit codes:
+matching config fields, and are checked like them when the config loads.
+Every command reads its settings from the loaded config alone, echoes it
+into the output directory, and is reproducible from that echo. Exit codes:
 0 success, 2 validation/config error, 1 runtime error.
 """
 
@@ -23,8 +24,8 @@ import numpy as np
 from . import arena as arena_mod
 from . import dataprep, mockserve, policy, synthdata, trainer
 from .embedder import (DEFAULT_CENTROID_SAMPLE, DEFAULT_TOY_DIM, PROVIDER_KINDS,
-                       EncoderEndpointConfig, make_provider,
-                       reference_centroid, sample_reference_texts)
+                       EncoderEndpointConfig, RemoteEncoder, ToyEmbedder,
+                       embed_toy, reference_centroid, sample_reference_texts)
 from .errors import ConfigError, SemrankError
 from .judge import JudgeEndpointConfig, make_judge
 from .optim import LrSchedule, make_optimizer
@@ -93,9 +94,10 @@ DEFAULT_CONFIG = {
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
-    """Defaults, overlaid with the config file, overlaid with CLI flags.
-    A wrong-typed or out-of-range value raises ConfigError here, before any
-    command reads or writes a file."""
+    """Defaults, overlaid with the config file, overlaid with overrides
+    ({"seed" or "section.leaf": value}, from CLI flags). A file or override
+    value that is unknown, wrong-typed or out of range raises ConfigError
+    here, before any command reads or writes a file."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path is not None:
         p = Path(path)
@@ -109,26 +111,10 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
             raise ConfigError(
                 f"config version {user.get('version')} unsupported "
                 f"(expected {CONFIG_VERSION})")
-        for key, value in user.items():
-            if key not in cfg:
-                raise ConfigError(f"unknown config key {key!r}")
-            if isinstance(cfg[key], dict):
-                if not isinstance(value, dict):
-                    raise ConfigError(f"config section {key!r} must be an object")
-                unknown = sorted(set(value) - set(cfg[key]))
-                if unknown:
-                    raise ConfigError(f"unknown key(s) in config section {key!r}: {unknown}")
-                cfg[key].update(value)
-            else:
-                cfg[key] = value
+        _overlay(cfg, user)
     for key, value in (overrides or {}).items():
-        if value is None:
-            continue
         section, _, leaf = key.partition(".")
-        if leaf:
-            cfg.setdefault(section, {})[leaf] = value
-        else:
-            cfg[key] = value
+        _overlay(cfg, {section: {leaf: value}} if leaf else {key: value})
     _check_types(cfg, DEFAULT_CONFIG)
     for stage, kinds in (("cpt", CPT_OPTIMIZERS), ("sft", CPT_OPTIMIZERS[:2])):
         sc = cfg[stage]
@@ -142,11 +128,47 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
         if not 0 <= sc["warmup_frac"] <= 1:
             raise ConfigError(f"config key '{stage}.warmup_frac' must be in [0, 1], "
                               f"got {sc['warmup_frac']}")
-    if cfg["embedder"]["kind"] not in PROVIDER_KINDS:
+    dp, ec, ac = cfg["dataprep"], cfg["embedder"], cfg["arena"]
+    if ec["kind"] not in PROVIDER_KINDS:
         raise ConfigError(f"config key 'embedder.kind' must be one of "
-                          f"{list(PROVIDER_KINDS)}, got {cfg['embedder']['kind']!r}")
+                          f"{list(PROVIDER_KINDS)}, got {ec['kind']!r}")
+    # each value is checked by the code that will use it, on an empty input
+    _build("keys dataprep.window, dataprep.overlap", dataprep.chunk_tokens,
+           [], dp["window"], dp["overlap"])
+    _build("key dataprep.ratios", dataprep.stratified_split, [], tuple(dp["ratios"]))
+    _build("key dataprep.dedup_threshold", dataprep.dedup_paragraphs, [],
+           dp["dedup_threshold"])
+    _build("key embedder.dim", embed_toy, "", ec["dim"])
+    _build("keys embedder.batch_size, embedder.timeout", EncoderEndpointConfig,
+           base_url="", batch_size=ec["batch_size"], timeout=ec["timeout"])
+    _build("key grpo.centroid_sample", sample_reference_texts, [],
+           cfg["grpo"]["centroid_sample"])
+    _build("key judge.timeout", JudgeEndpointConfig, url="",
+           timeout=cfg["judge"]["timeout"])
+    _build("key arena.k_factor", arena_mod.elo_update, 0.0, 0.0, "TIE", ac["k_factor"])
+    if not ac["judges"]:
+        raise ConfigError("config key 'arena.judges' must name at least one judge")
+    for spec in ac["judges"]:
+        _build("key arena.judges", make_judge, spec)
     grpo_settings(cfg)
     return cfg
+
+
+def _overlay(cfg: dict, user: dict) -> None:
+    """Write user's values into cfg; a key cfg lacks, or a non-object where
+    cfg has a section, raises ConfigError."""
+    for key, value in user.items():
+        if key not in cfg:
+            raise ConfigError(f"unknown config key {key!r}")
+        if isinstance(cfg[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {key!r} must be an object")
+            unknown = sorted(set(value) - set(cfg[key]))
+            if unknown:
+                raise ConfigError(f"unknown key(s) in config section {key!r}: {unknown}")
+            cfg[key].update(value)
+        else:
+            cfg[key] = value
 
 
 def _check_types(value, default, name: str = "") -> None:
@@ -175,10 +197,11 @@ def _check_types(value, default, name: str = "") -> None:
             _check_types(item, default[0], name + "[]")
 
 
-def _build(keys: str, cls, **kwargs):
-    """cls(**kwargs), with a rejected value reported against its config keys."""
+def _build(keys: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a rejected value reported against its config
+    keys."""
     try:
-        return cls(**kwargs)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"config {keys}: {exc}") from exc
 
@@ -221,15 +244,15 @@ def _build_policy(cfg: dict, seed: int) -> policy.PolicyParams:
                               **cfg["policy"])
 
 
-def _provider(cfg: dict, kind_override: str | None = None):
+def _provider(cfg: dict):
+    """The embedder section's provider; a remote one takes its URL (else
+    SEMRANK_EMBED_URL) and SEMRANK_EMBED_TOKEN."""
     ec = cfg["embedder"]
-    kind = kind_override or ec["kind"]
-    endpoint = None
-    if kind == "remote":
-        endpoint = EncoderEndpointConfig.from_env(
+    if ec["kind"] == "remote":
+        return RemoteEncoder(EncoderEndpointConfig.from_env(
             base_url=ec["base_url"], timeout=ec["timeout"],
-            batch_size=ec["batch_size"])
-    return make_provider(kind, toy_dim=ec["dim"], endpoint=endpoint)
+            batch_size=ec["batch_size"]))
+    return ToyEmbedder(d=ec["dim"])
 
 
 def judge_endpoint(cfg: dict, url: str | None = None) -> JudgeEndpointConfig:
@@ -374,7 +397,7 @@ def build_reward_contexts(items: list[dataprep.QaItem], provider,
     return contexts, v_ref
 
 
-def _run_grpo(cfg: dict, out_dir: Path, embedder_kind: str | None) -> Path:
+def _run_grpo(cfg: dict, out_dir: Path) -> Path:
     gc = cfg["grpo"]
     grpo_cfg, reward_cfg, lora_cfg = grpo_settings(cfg)
     init = gc["init_checkpoint"] or (out_dir / "sft" / "final.ckpt")
@@ -399,7 +422,7 @@ def _run_grpo(cfg: dict, out_dir: Path, embedder_kind: str | None) -> Path:
                 for row in dataprep.read_jsonl(train_file)]
     if not qa_items:
         raise ConfigError("train split is empty")
-    provider = _provider(cfg, embedder_kind)
+    provider = _provider(cfg)
     judge_client = None
     if "judge" in reward_cfg.enabled:
         endpoint = judge_endpoint(cfg)
@@ -429,12 +452,11 @@ def _run_grpo(cfg: dict, out_dir: Path, embedder_kind: str | None) -> Path:
     return final
 
 
-def cmd_train(cfg: dict, stage: str, optimizer: str | None,
-              embedder_kind: str | None) -> int:
+def cmd_train(cfg: dict, stage: str) -> int:
     out_dir = Path(cfg["out_dir"])
     echo_config(cfg, out_dir)
     if stage == "cpt":
-        kind = optimizer or cfg["cpt"]["optimizer"]
+        kind = cfg["cpt"]["optimizer"]
         if kind == "both":
             _, losses_a = _run_cpt(cfg, "adamw", out_dir)
             _, losses_m = _run_cpt(cfg, "muon", out_dir)
@@ -450,7 +472,7 @@ def cmd_train(cfg: dict, stage: str, optimizer: str | None,
         _run_sft(cfg, out_dir)
         return 0
     if stage == "grpo":
-        _run_grpo(cfg, out_dir, embedder_kind)
+        _run_grpo(cfg, out_dir)
         return 0
     raise ConfigError(f"unknown training stage: {stage!r}")
 
@@ -463,8 +485,7 @@ SCORE_COLUMNS = ["item_id", "semantic", "rouge", "judge", "answer", "format",
                  "think", "total", "error"]
 
 
-def cmd_score(cfg: dict, generations_file: str,
-              embedder_kind: str | None) -> int:
+def cmd_score(cfg: dict, generations_file: str) -> int:
     out_dir = Path(cfg["out_dir"])
     echo_config(cfg, out_dir)
     gen_path = _require_path(generations_file, "generations file")
@@ -476,7 +497,7 @@ def cmd_score(cfg: dict, generations_file: str,
             for row in dataprep.read_jsonl(split_path):
                 item = dataprep.qa_item_from_dict(row)
                 qa_items[item.item_id] = item
-    provider = _provider(cfg, embedder_kind)
+    provider = _provider(cfg)
     _, reward_cfg, _ = grpo_settings(cfg)
     reward_cfg = replace(reward_cfg, enabled=reward_cfg.enabled - {"judge"})
     contexts, _ = build_reward_contexts(list(qa_items.values()), provider,
@@ -502,7 +523,7 @@ def cmd_score(cfg: dict, generations_file: str,
 # arena
 # ---------------------------------------------------------------------------
 
-def cmd_arena(cfg: dict, judges_flag: str | None) -> int:
+def cmd_arena(cfg: dict) -> int:
     out_dir = Path(cfg["out_dir"])
     echo_config(cfg, out_dir)
     ac = cfg["arena"]
@@ -528,11 +549,11 @@ def cmd_arena(cfg: dict, judges_flag: str | None) -> int:
                     f"model {name!r} has no explanation for item "
                     f"{item['item_id']!r}")
 
-    judge_specs = (judges_flag.split(",") if judges_flag else ac["judges"])
+    judge_specs = ac["judges"]
     base_judge_cfg = None
     if any(s.startswith("http") for s in judge_specs):
         base_judge_cfg = judge_endpoint(cfg, url=judge_specs[0])
-    judges = [make_judge(s.strip(), base_judge_cfg) for s in judge_specs]
+    judges = [make_judge(s, base_judge_cfg) for s in judge_specs]
 
     gold = {str(it["item_id"]): it["answer"] for it in items if "answer" in it}
     accuracies = {}
@@ -618,10 +639,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--log-level", default="WARNING")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # an option's dest is the config key it overrides ("seed", "out_dir" or
+    # "section.leaf"); main() hands every one that is set to load_config
     def common(p):
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", dest="out_dir", default=None, help="output directory")
 
     p = sub.add_parser("prepare", help="clean, dedup, chunk, filter, split")
     common(p)
@@ -629,19 +652,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run one training stage")
     p.add_argument("stage", choices=["cpt", "sft", "grpo"])
     common(p)
-    p.add_argument("--optimizer", choices=CPT_OPTIMIZERS, default=None)
-    p.add_argument("--steps", type=int, default=None, help="GRPO steps override")
-    p.add_argument("--embedder", choices=PROVIDER_KINDS, default=None)
+    p.add_argument("--optimizer", choices=CPT_OPTIMIZERS, default=None,
+                   help="<stage>.optimizer: cpt and sft only (GRPO uses adamw)")
+    p.add_argument("--steps", dest="grpo.steps", type=int, default=None,
+                   help="GRPO steps override")
+    p.add_argument("--embedder", dest="embedder.kind", choices=PROVIDER_KINDS,
+                   default=None)
 
     p = sub.add_parser("score", help="reward breakdown CSV for generations")
     common(p)
     p.add_argument("--generations", required=True,
                    help="JSON-lines file with {item_id, text}")
-    p.add_argument("--embedder", choices=PROVIDER_KINDS, default=None)
+    p.add_argument("--embedder", dest="embedder.kind", choices=PROVIDER_KINDS,
+                   default=None)
 
     p = sub.add_parser("arena", help="pairwise judged tournament")
     common(p)
-    p.add_argument("--judges", default=None,
+    p.add_argument("--judges", dest="arena.judges", default=None,
+                   type=lambda specs: [s.strip() for s in specs.split(",")],
                    help="comma list: mock:<mode> or judge endpoint URLs")
 
     p = sub.add_parser("report", help="SVG charts from the emitted CSVs")
@@ -671,19 +699,19 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "serve":
             mockserve.run_forever(serve_stub(args))
             return 0
-        overrides = {"seed": getattr(args, "seed", None),
-                     "out_dir": getattr(args, "out", None)}
-        if getattr(args, "steps", None) is not None:
-            overrides["grpo.steps"] = args.steps
-        cfg = load_config(getattr(args, "config", None), overrides)
+        overrides = {key: value for key, value in vars(args).items()
+                     if value is not None and (key in DEFAULT_CONFIG or "." in key)}
+        if getattr(args, "optimizer", None) is not None:
+            overrides[f"{args.stage}.optimizer"] = args.optimizer
+        cfg = load_config(args.config, overrides)
         if args.command == "prepare":
             return cmd_prepare(cfg)
         if args.command == "train":
-            return cmd_train(cfg, args.stage, args.optimizer, args.embedder)
+            return cmd_train(cfg, args.stage)
         if args.command == "score":
-            return cmd_score(cfg, args.generations, args.embedder)
+            return cmd_score(cfg, args.generations)
         if args.command == "arena":
-            return cmd_arena(cfg, args.judges)
+            return cmd_arena(cfg)
         if args.command == "report":
             return cmd_report(cfg)
         if args.command == "synth":

@@ -134,7 +134,9 @@ def dedup_paragraphs(paragraphs: Sequence[str],
                      threshold: float = NEAR_DUP_THRESHOLD) -> list[str]:
     """Keep first occurrences; drop exact matches (normalized) and
     near-duplicates whose shingle Jaccard with an earlier survivor is
-    >= threshold."""
+    >= threshold, which must be in (0, 1]."""
+    if not 0 < threshold <= 1:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     survivors: list[str] = []
     survivor_shingles: list[set] = []
     survivor_sizes: list[int] = []
@@ -219,6 +221,9 @@ def stratified_split(items: Sequence[QaItem],
     Strata are (subject, difficulty). Remainder ties go to the earlier
     split in (train, dev, test) order.
     """
+    if len(ratios) != len(SPLIT_NAMES) or min(ratios) < 0:
+        raise ValueError(f"ratios must be {len(SPLIT_NAMES)} non-negative "
+                         f"fractions ({', '.join(SPLIT_NAMES)}), got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {ratios}")
     strata: dict[tuple, list[QaItem]] = {}

@@ -111,6 +111,8 @@ def sample_reference_texts(texts: Sequence[str], sample_size: int = DEFAULT_CENT
                            seed: int = 0) -> list[str]:
     """Seeded without-replacement draw of centroid texts (all of them when
     fewer than sample_size are available)."""
+    if sample_size < 1:
+        raise ValueError(f"sample_size must be >= 1, got {sample_size}")
     if len(texts) <= sample_size:
         return list(texts)
     rng = np.random.default_rng(seed)
@@ -131,6 +133,8 @@ class EncoderEndpointConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be > 0, got {self.timeout}")
 
     @classmethod
     def from_env(cls, **overrides) -> "EncoderEndpointConfig":
@@ -220,14 +224,3 @@ class RemoteEncoder:
 
 
 PROVIDER_KINDS = ("toy", "remote")
-
-
-def make_provider(kind: str, toy_dim: int = DEFAULT_TOY_DIM,
-                  endpoint: EncoderEndpointConfig | None = None) -> EmbeddingProvider:
-    """Provider factory behind the CLI's --embedder {toy, remote} flag."""
-    if kind == "toy":
-        return ToyEmbedder(d=toy_dim)
-    if kind == "remote":
-        cfg = endpoint or EncoderEndpointConfig.from_env()
-        return RemoteEncoder(cfg)
-    raise ValueError(f"unknown embedder kind: {kind!r}")

@@ -129,6 +129,10 @@ class JudgeEndpointConfig:
     auth_token: str | None = None
     max_retries: int = 1
 
+    def __post_init__(self):
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+
     @classmethod
     def from_env(cls, **overrides) -> "JudgeEndpointConfig":
         url = overrides.pop("url", None) or os.environ.get(JUDGE_URL_ENV)
@@ -163,6 +167,20 @@ class HttpJudgeClient:
                 if attempt + 1 < attempts:
                     logger.warning("retrying judge call after %s", exc)
         raise JudgeServiceError(f"judge endpoint failed: {last}") from last
+
+
+# fixed-score also takes its reply as fixed-score:<n>, n in 0..10
+JUDGE_MODES = ("fixed-score", "prefer-longer", "prefer-shorter",
+               "prefer-lexical-overlap", "garbage")
+
+
+def check_judge_mode(mode: str) -> None:
+    """Raise ValueError unless judge_reply serves mode."""
+    name, _, score = mode.partition(":")
+    if not (mode in JUDGE_MODES or (name == "fixed-score" and score.isdigit()
+                                    and int(score) <= 10)):
+        raise ValueError(f"unknown judge mode {mode!r}; expected one of "
+                         f"{[*JUDGE_MODES, 'fixed-score:<n>']}")
 
 
 def judge_reply(mode: str, prompt: str) -> str:
@@ -214,9 +232,11 @@ def judge_reply(mode: str, prompt: str) -> str:
 
 
 class MockJudge:
-    """In-process judge with a deterministic rule; name appears in reports."""
+    """In-process judge with a deterministic rule; name appears in reports.
+    A mode judge_reply does not serve raises ValueError."""
 
     def __init__(self, mode: str):
+        check_judge_mode(mode)
         self.mode = mode
         self.name = f"mock:{mode}"
 

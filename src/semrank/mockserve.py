@@ -15,12 +15,9 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .embedder import DEFAULT_TOY_DIM, embed_toy
-from .judge import judge_reply
+from .judge import check_judge_mode, judge_reply
 
 EMBED_MODES = ("toy-embed", "fail-with-status")
-# fixed-score also takes its reply as fixed-score:<n>, n in 0..10
-JUDGE_MODES = ("fixed-score", "prefer-longer", "prefer-shorter",
-               "prefer-lexical-overlap", "garbage")
 DEFAULT_MODES = {"embed": "toy-embed", "judge": "prefer-lexical-overlap"}
 
 
@@ -32,15 +29,11 @@ class StubBehavior:
 
 
 def _check_mode(kind: str, mode: str) -> None:
-    name, _, score = mode.partition(":")
-    if kind == "embed":
-        ok = mode in EMBED_MODES
-    else:
-        ok = mode in JUDGE_MODES or (name == "fixed-score" and score.isdigit()
-                                     and int(score) <= 10)
-    if not ok:
-        modes = EMBED_MODES if kind == "embed" else (*JUDGE_MODES, "fixed-score:<n>")
-        raise ValueError(f"unknown {kind} stub mode {mode!r}; expected one of {list(modes)}")
+    if kind == "judge":
+        check_judge_mode(mode)
+    elif mode not in EMBED_MODES:
+        raise ValueError(f"unknown embed mode {mode!r}; expected one of "
+                         f"{list(EMBED_MODES)}")
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -143,7 +136,9 @@ class StubServer:
         return self
 
     def stop(self) -> None:
-        self._server.shutdown()
+        """Stop the serving loop if start() began one, and free the port."""
+        if self._thread.is_alive():
+            self._server.shutdown()
         self._server.server_close()
 
     def __enter__(self) -> "StubServer":
@@ -171,4 +166,6 @@ def run_forever(server: StubServer) -> None:
     try:
         server._server.serve_forever()
     except KeyboardInterrupt:
+        pass
+    finally:
         server.stop()

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 from pathlib import Path
@@ -309,6 +310,19 @@ class TestConfig:
         ("sft", "warmup_frac", -0.5),
         ("embedder", "kind", "nope"),
         ("policy", "vocab_size", 32),
+        ("dataprep", "overlap", 512),
+        ("dataprep", "ratios", [0.5, 0.3, 0.1]),
+        ("dataprep", "ratios", [0.5, 0.5]),
+        ("dataprep", "dedup_threshold", -1),
+        ("dataprep", "dedup_threshold", 0),
+        ("embedder", "dim", 4),
+        ("embedder", "batch_size", 0),
+        ("embedder", "timeout", -1),
+        ("grpo", "centroid_sample", 0),
+        ("arena", "k_factor", 0),
+        ("arena", "judges", ["mock:nope"]),
+        ("arena", "judges", []),
+        ("judge", "timeout", -1),
     ])
     def test_bad_value_exit_2_before_any_output(self, tmp_path, capsys,
                                                 section, key, value):
@@ -336,13 +350,107 @@ class TestConfig:
         assert cfg["grpo"]["max_new_tokens"] == 96 and cfg["seed"] == 7
 
 
+def arena_inputs(tmp_path):
+    """Two models of different explanation lengths over three items."""
+    items = [{"item_id": f"i{k}", "question": f"domanda {k}?", "answer": "a"}
+             for k in range(3)]
+    items_path = tmp_path / "items.jsonl"
+    items_path.write_text("\n".join(json.dumps(i) for i in items))
+    models_dir = tmp_path / "models"
+    models_dir.mkdir()
+    for name, mult in (("verboso", 5), ("conciso", 1)):
+        (models_dir / f"{name}.jsonl").write_text("\n".join(json.dumps(
+            {"item_id": it["item_id"], "answer": "a",
+             "explanation": "parole " * mult + it["item_id"]}) for it in items))
+    return {"items_file": str(items_path), "models_dir": str(models_dir)}
+
+
+class TestFlagsAreConfig:
+    """A flag's value lands in the config, so the echo reproduces the run."""
+
+    @pytest.fixture()
+    def prepared(self, tmp_path):
+        synth_inputs(tmp_path)
+        cfg = write_config(tmp_path)
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        return cfg, tmp_path / "out"
+
+    def test_cpt_optimizer_flag_reruns_from_echo(self, prepared, tmp_path):
+        cfg, out = prepared
+        assert main(["train", "cpt", "--config", str(cfg),
+                     "--optimizer", "muon"]) == 0
+        echo = out / "config_echo.json"
+        assert json.loads(echo.read_text())["cpt"]["optimizer"] == "muon"
+        fresh = tmp_path / "fresh"
+        assert main(["prepare", "--config", str(echo), "--out", str(fresh)]) == 0
+        assert main(["train", "cpt", "--config", str(echo), "--out", str(fresh)]) == 0
+        assert ((fresh / "cpt_muon" / "final.ckpt").read_bytes()
+                == (out / "cpt_muon" / "final.ckpt").read_bytes())
+
+    def test_sft_honours_optimizer_flag(self, prepared):
+        cfg, out = prepared
+        assert main(["train", "cpt", "--config", str(cfg)]) == 0
+        assert main(["train", "sft", "--config", str(cfg)]) == 0
+        adamw = (out / "sft" / "final.ckpt").read_bytes()
+        assert main(["train", "sft", "--config", str(cfg),
+                     "--optimizer", "muon"]) == 0
+        assert json.loads((out / "config_echo.json").read_text())["sft"]["optimizer"] == "muon"
+        assert (out / "sft" / "final.ckpt").read_bytes() != adamw
+
+    def test_judges_flag_reruns_from_echo(self, tmp_path):
+        cfg = write_config(tmp_path, arena=arena_inputs(tmp_path))
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["arena", "--config", str(cfg),
+                     "--judges", "mock:prefer-shorter"]) == 0
+        echo = out / "config_echo.json"
+        assert json.loads(echo.read_text())["arena"]["judges"] == ["mock:prefer-shorter"]
+        assert main(["arena", "--config", str(echo), "--out", str(fresh)]) == 0
+        for name in ("ratings.csv", "aggregate.csv"):
+            assert (fresh / name).read_bytes() == (out / name).read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "grpo", "--optimizer", "muon"],
+        ["train", "sft", "--optimizer", "both"],
+        ["arena", "--judges", "mock:nope"],
+        ["arena", "--judges", "mock:prefer-longer, carrier-pigeon:x"],
+    ])
+    def test_bad_flag_exit_2_before_any_output(self, tmp_path, argv):
+        cfg = write_config(tmp_path, arena=arena_inputs(tmp_path))
+        assert main([*argv, "--config", str(cfg)]) == 2
+        assert not (tmp_path / "out" / "config_echo.json").exists()
+
+
+# option dests that are command inputs, not settings; serve loads no config
+COMMAND_INPUTS = {"command", "log_level", "config", "stage", "generations",
+                  "chars", "items"}
+SERVE_INPUTS = {"kind", "mode", "port", "fail_status", "dim"}
+
+
+def test_every_option_is_a_config_override_or_a_command_input():
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    defaults = load_config(None)
+    for name, p in [("semrank", parser), *commands.items()]:
+        allowed = COMMAND_INPUTS | (SERVE_INPUTS if name == "serve" else set())
+        for action in p._actions:
+            dest = action.dest
+            section, _, leaf = dest.partition(".")
+            is_key = (leaf in defaults[section]
+                      if leaf and isinstance(defaults.get(section), dict)
+                      else dest in ("seed", "out_dir"))
+            assert dest == "help" or is_key or dest == "optimizer" or dest in allowed, \
+                f"{name} option {action.option_strings or dest} bypasses the config"
+
+
 class TestProvider:
     def test_config_url_keeps_env_token(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEMRANK_EMBED_URL", "http://127.0.0.1:9/env")
         monkeypatch.setenv("SEMRANK_EMBED_TOKEN", "secret")
         cfg = load_config(str(write_config(
-            tmp_path, embedder={"base_url": "http://127.0.0.1:9/config"})))
-        provider = _provider(cfg, "remote")
+            tmp_path, embedder={"kind": "remote",
+                                "base_url": "http://127.0.0.1:9/config"})))
+        provider = _provider(cfg)
         assert isinstance(provider, RemoteEncoder)
         assert provider.cfg.base_url == "http://127.0.0.1:9/config"
         assert provider.cfg.auth_token == "secret"

@@ -101,6 +101,11 @@ class TestDedup:
         once = dedup_paragraphs(paragraphs)
         assert dedup_paragraphs(once) == once
 
+    @pytest.mark.parametrize("threshold", [-1, 0, 1.5])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            dedup_paragraphs([self.para(10)], threshold=threshold)
+
 
 class TestChunking:
     def test_spec_stride_arithmetic(self):
@@ -221,6 +226,12 @@ class TestStratifiedSplit:
     def test_ratio_validation(self):
         with pytest.raises(ValueError):
             stratified_split([make_item()], ratios=(0.5, 0.2, 0.2))
+
+    @pytest.mark.parametrize("ratios", [(0.5, 0.5), (0.8, 0.1, 0.05, 0.05),
+                                        (1.2, -0.1, -0.1)])
+    def test_ratios_must_be_three_fractions(self, ratios):
+        with pytest.raises(ValueError, match="non-negative"):
+            stratified_split([make_item()], ratios=ratios)
 
 
 class TestToInstruction:

@@ -119,6 +119,10 @@ class TestReferenceCentroid:
         assert a == b and len(a) == 10
         assert sample_reference_texts(texts, 100, seed=3) == texts
 
+    def test_sample_size_below_one_rejected(self):
+        with pytest.raises(ValueError, match="sample_size"):
+            sample_reference_texts(["testo"], 0)
+
 
 class TestRemoteEncoder:
     def test_single_text_shape(self):
@@ -189,6 +193,11 @@ class TestRemoteEncoder:
     def test_batch_size_validated(self):
         with pytest.raises(ValueError):
             EncoderEndpointConfig(base_url="http://x", batch_size=0)
+
+    @pytest.mark.parametrize("timeout", [0, -1])
+    def test_timeout_validated(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            EncoderEndpointConfig(base_url="http://x", timeout=timeout)
 
 
 class TestRemoteEncoderContracts:

@@ -111,12 +111,24 @@ class TestHttpJudgeClient:
         with pytest.raises(ValueError):
             make_judge("carrier-pigeon:fast")
 
+    @pytest.mark.parametrize("mode", ["nope", "fixed-score:x", "fixed-score:11"])
+    def test_unknown_mock_mode_rejected_when_built(self, mode):
+        with pytest.raises(ValueError, match="unknown judge mode"):
+            make_judge(f"mock:{mode}")
+        with pytest.raises(ValueError, match="unknown judge mode"):
+            StubServer("judge", StubBehavior(mode=mode))
+
     def test_env_config(self, monkeypatch):
         monkeypatch.setenv("SEMRANK_JUDGE_URL", "http://example.test/v1")
         monkeypatch.setenv("SEMRANK_JUDGE_MODEL", "giudice")
         cfg = JudgeEndpointConfig.from_env()
         assert cfg.url == "http://example.test/v1"
         assert cfg.model == "giudice"
+
+    @pytest.mark.parametrize("timeout", [0, -1])
+    def test_timeout_validated(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            JudgeEndpointConfig(url="http://x", timeout=timeout)
 
     def test_env_missing_url_rejected(self, monkeypatch):
         monkeypatch.delenv("SEMRANK_JUDGE_URL", raising=False)

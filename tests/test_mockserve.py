@@ -1,4 +1,5 @@
 import json
+import threading
 import urllib.request
 
 import numpy as np
@@ -90,3 +91,15 @@ class TestJudgeStub:
                 results = list(pool.map(one, range(24)))
             assert results == ["5"] * 24
             assert stub.stats["requests"] == 24
+
+
+class TestLifecycle:
+    def test_stop_without_start_returns_and_frees_port(self):
+        stub = StubServer("embed", StubBehavior())
+        port = stub.port
+        stopper = threading.Thread(target=stub.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive(), "stop() on an unstarted stub blocked"
+        with StubServer("embed", StubBehavior(), port=port) as again:
+            assert again.port == port
