@@ -142,14 +142,17 @@ def run_tournament(models: dict[str, dict[str, str]], items: list[dict],
             raise ValueError(
                 f"model {name!r} is missing explanations for items: {missing[:5]}")
 
+    judge_names = [judge_name(judge) for judge in judges]
+    if len(set(judge_names)) != len(judge_names):
+        raise ValueError(f"judge names must be distinct, got {judge_names}")
+
     schedule = [(pair, item) for pair in combinations(names, 2) for item in items]
     if both_orders:
         schedule = schedule + [((b, a), item) for (a, b), item in schedule]
 
     tables: dict[str, EloTable] = {}
     matches: list[MatchRecord] = []
-    for judge_index, judge in enumerate(judges):
-        jname = judge_name(judge)
+    for judge_index, (jname, judge) in enumerate(zip(judge_names, judges)):
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=seed, spawn_key=(judge_index,)))
         order = rng.permutation(len(schedule))

@@ -133,6 +133,10 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
         raise ConfigError(f"config key 'embedder.kind' must be one of "
                           f"{list(PROVIDER_KINDS)}, got {ec['kind']!r}")
     # each value is checked by the code that will use it, on an empty input
+    for stage in ("cpt", "sft", "grpo"):
+        _build(f"keys {stage}.lr, {stage}.weight_decay", make_optimizer, "adamw",
+               cfg[stage]["lr"], cfg[stage]["weight_decay"])
+    _build("section 'policy'", policy.check_init, **cfg["policy"])
     _build("keys dataprep.window, dataprep.overlap", dataprep.chunk_tokens,
            [], dp["window"], dp["overlap"])
     _build("key dataprep.ratios", dataprep.stratified_split, [], tuple(dp["ratios"]))
@@ -148,6 +152,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     _build("key arena.k_factor", arena_mod.elo_update, 0.0, 0.0, "TIE", ac["k_factor"])
     if not ac["judges"]:
         raise ConfigError("config key 'arena.judges' must name at least one judge")
+    if len(set(ac["judges"])) != len(ac["judges"]):
+        raise ConfigError(f"config key 'arena.judges' names a judge twice: {ac['judges']}")
     for spec in ac["judges"]:
         _build("key arena.judges", make_judge, spec)
     grpo_settings(cfg)
@@ -246,22 +252,23 @@ def _build_policy(cfg: dict, seed: int) -> policy.PolicyParams:
 
 def _provider(cfg: dict):
     """The embedder section's provider; a remote one takes its URL (else
-    SEMRANK_EMBED_URL) and SEMRANK_EMBED_TOKEN."""
+    SEMRANK_EMBED_URL) and SEMRANK_EMBED_TOKEN, and without a URL raises
+    ConfigError."""
     ec = cfg["embedder"]
     if ec["kind"] == "remote":
-        return RemoteEncoder(EncoderEndpointConfig.from_env(
-            base_url=ec["base_url"], timeout=ec["timeout"],
-            batch_size=ec["batch_size"]))
+        return RemoteEncoder(_build(
+            "key embedder.base_url", EncoderEndpointConfig.from_env,
+            base_url=ec["base_url"], timeout=ec["timeout"], batch_size=ec["batch_size"]))
     return ToyEmbedder(d=ec["dim"])
 
 
 def judge_endpoint(cfg: dict, url: str | None = None) -> JudgeEndpointConfig:
     """The judge section as an endpoint: its url (else `url`, else
     SEMRANK_JUDGE_URL), its model (else SEMRANK_JUDGE_MODEL, else
-    JudgeEndpointConfig's default), its timeout."""
+    JudgeEndpointConfig's default), its timeout. No URL raises ConfigError."""
     jc = cfg["judge"]
-    return JudgeEndpointConfig.from_env(url=jc["url"] or url, model=jc["model"],
-                                        timeout=jc["timeout"])
+    return _build("key judge.url", JudgeEndpointConfig.from_env, url=jc["url"] or url,
+                  model=jc["model"], timeout=jc["timeout"])
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +407,12 @@ def build_reward_contexts(items: list[dataprep.QaItem], provider,
 def _run_grpo(cfg: dict, out_dir: Path) -> Path:
     gc = cfg["grpo"]
     grpo_cfg, reward_cfg, lora_cfg = grpo_settings(cfg)
+    # the services first: a missing URL fails before any file is read
+    provider = _provider(cfg)
+    judge_client = None
+    if "judge" in reward_cfg.enabled:
+        endpoint = judge_endpoint(cfg)
+        judge_client = make_judge(endpoint.url, endpoint)
     init = gc["init_checkpoint"] or (out_dir / "sft" / "final.ckpt")
     init = _require_path(init, "grpo.init_checkpoint (upstream SFT checkpoint)")
     base, init_extra = policy.load_checkpoint(init)
@@ -422,11 +435,6 @@ def _run_grpo(cfg: dict, out_dir: Path) -> Path:
                 for row in dataprep.read_jsonl(train_file)]
     if not qa_items:
         raise ConfigError("train split is empty")
-    provider = _provider(cfg)
-    judge_client = None
-    if "judge" in reward_cfg.enabled:
-        endpoint = judge_endpoint(cfg)
-        judge_client = make_judge(endpoint.url, endpoint)
 
     contexts, _ = build_reward_contexts(qa_items, provider,
                                         gc["centroid_sample"], cfg["seed"])
@@ -481,12 +489,12 @@ def cmd_train(cfg: dict, stage: str) -> int:
 # score
 # ---------------------------------------------------------------------------
 
-SCORE_COLUMNS = ["item_id", "semantic", "rouge", "judge", "answer", "format",
-                 "think", "total", "error"]
+SCORE_COLUMNS = ["item_id", *COMPONENT_NAMES, "total", "error"]
 
 
 def cmd_score(cfg: dict, generations_file: str) -> int:
     out_dir = Path(cfg["out_dir"])
+    provider = _provider(cfg)
     echo_config(cfg, out_dir)
     gen_path = _require_path(generations_file, "generations file")
     _require_path(out_dir / "train.jsonl", "prepared splits (run prepare first)")
@@ -497,7 +505,6 @@ def cmd_score(cfg: dict, generations_file: str) -> int:
             for row in dataprep.read_jsonl(split_path):
                 item = dataprep.qa_item_from_dict(row)
                 qa_items[item.item_id] = item
-    provider = _provider(cfg)
     _, reward_cfg, _ = grpo_settings(cfg)
     reward_cfg = replace(reward_cfg, enabled=reward_cfg.enabled - {"judge"})
     contexts, _ = build_reward_contexts(list(qa_items.values()), provider,

@@ -152,8 +152,9 @@ def dedup_paragraphs(paragraphs: Sequence[str],
             # Jaccard >= t needs |A|/|B| and |B|/|A| >= t: cheap prefilter
             if size and other_size and min(size, other_size) < threshold * max(size, other_size):
                 continue
-            union = size + other_size - len(shingles & other)
-            if union == 0 or len(shingles & other) / union >= threshold:
+            common = len(shingles & other)
+            union = size + other_size - common
+            if union == 0 or common / union >= threshold:
                 dup = True
                 break
         if dup:

@@ -100,6 +100,8 @@ def extract_section(prompt: str, name: str) -> str:
 
 
 class JudgeClient(Protocol):
+    name: str  # distinct per judge: arena keys its Elo tables by it
+
     def complete(self, prompt: str) -> str: ...
 
 
@@ -144,10 +146,12 @@ class JudgeEndpointConfig:
 
 
 class HttpJudgeClient:
-    """Chat-completions client: one user message in, assistant text out."""
+    """Chat-completions client: one user message in, assistant text out;
+    named by its URL."""
 
     def __init__(self, cfg: JudgeEndpointConfig):
         self.cfg = cfg
+        self.name = cfg.url
 
     def complete(self, prompt: str) -> str:
         payload = {
@@ -255,5 +259,4 @@ def make_judge(spec: str, cfg: JudgeEndpointConfig | None = None) -> JudgeClient
 
 
 def judge_name(client: JudgeClient) -> str:
-    return getattr(client, "name", None) or getattr(
-        getattr(client, "cfg", None), "model", None) or client.__class__.__name__
+    return client.name

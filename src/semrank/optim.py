@@ -170,6 +170,11 @@ def muon_step(state: MuonState, params: dict[str, np.ndarray],
 
 def make_optimizer(kind: str, lr: float,
                    weight_decay: float = 0.0) -> AdamWState | MuonState:
+    """A fresh optimizer of kind; lr must be > 0 and weight_decay >= 0."""
+    if not lr > 0:
+        raise ValueError(f"lr must be > 0, got {lr}")
+    if weight_decay < 0:
+        raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
     if kind == "adamw":
         return AdamWState(lr=lr, weight_decay=weight_decay)
     if kind == "muon":

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,7 @@ class LoraConfig:
     targets: tuple[str, ...] = ("W1", "W2")
 
     def __post_init__(self):
+        object.__setattr__(self, "targets", tuple(self.targets))
         if self.rank < 1:
             raise ValueError("LoRA rank must be >= 1")
         if self.alpha <= 0:
@@ -62,13 +64,18 @@ class LoraConfig:
         return self.alpha / self.rank
 
 
+def _lora_names(host: str) -> tuple[str, str]:
+    """tensors() names of the (A, B) factors of host's adapter."""
+    return f"lora.{host}.A", f"lora.{host}.B"
+
+
 @dataclass
 class PolicyParams:
     """All model tensors plus the optional LoRA factor pairs.
 
     lora maps a target name to (A, B) with A: (rank, cols) and B: (rows,
     rank) for a host of shape (rows, cols); the adapter delta is
-    scale * B @ A.
+    scale * B @ A. tensors() names them all, in one order.
     """
 
     E: np.ndarray
@@ -95,16 +102,21 @@ class PolicyParams:
     def base_tensors(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in BASE_TENSORS}
 
+    def tensors(self) -> dict[str, np.ndarray]:
+        """Every tensor by name: the base tensors in BASE_TENSORS order, then
+        each adapter host's lora.<host>.A and lora.<host>.B in host-name
+        order. Checkpoints and digest() store and hash this table."""
+        out = self.base_tensors()
+        for host, pair in sorted((self.lora or {}).items()):
+            out.update(zip(_lora_names(host), pair))
+        return out
+
     def trainable(self) -> dict[str, np.ndarray]:
-        """Tensors the optimizer may update: LoRA factors when an adapter
-        is attached, otherwise all base tensors."""
-        if self.lora is not None:
-            out = {}
-            for name, (a, b) in self.lora.items():
-                out[f"lora.{name}.A"] = a
-                out[f"lora.{name}.B"] = b
-            return out
-        return self.base_tensors()
+        """Tensors the optimizer may update: the adapter's part of tensors()
+        when one is attached, otherwise all base tensors."""
+        if self.lora is None:
+            return self.base_tensors()
+        return {n: t for n, t in self.tensors().items() if n not in BASE_TENSORS}
 
     def effective(self, name: str) -> np.ndarray:
         """Host matrix with its LoRA delta applied (the host itself when no
@@ -116,26 +128,18 @@ class PolicyParams:
         return base
 
     def copy(self) -> "PolicyParams":
-        lora = None
-        if self.lora is not None:
-            lora = {k: (a.copy(), b.copy()) for k, (a, b) in self.lora.items()}
-        return PolicyParams(
-            E=self.E.copy(), W1=self.W1.copy(), b1=self.b1.copy(),
-            W2=self.W2.copy(), b2=self.b2.copy(),
-            context_size=self.context_size, lora=lora, lora_cfg=self.lora_cfg)
+        lora = self.lora and {host: (a.copy(), b.copy())
+                              for host, (a, b) in self.lora.items()}
+        return replace(self, lora=lora,
+                       **{n: t.copy() for n, t in self.base_tensors().items()})
 
     def digest(self) -> str:
-        """Stable content hash, used by the reference-freezing check."""
+        """Stable content hash of tensors(), used by the reference-freezing
+        check."""
         h = hashlib.sha256()
-        for name in BASE_TENSORS:
+        for name, t in self.tensors().items():
             h.update(name.encode())
-            h.update(np.ascontiguousarray(getattr(self, name)).tobytes())
-        if self.lora is not None:
-            for name in sorted(self.lora):
-                a, b = self.lora[name]
-                h.update(name.encode())
-                h.update(np.ascontiguousarray(a).tobytes())
-                h.update(np.ascontiguousarray(b).tobytes())
+            h.update(np.ascontiguousarray(t).tobytes())
         return h.hexdigest()
 
 
@@ -152,9 +156,20 @@ class SampledSequence:
             raise ValueError("tokens and logprobs must have equal length")
 
 
+def check_init(init_scale: float, **sizes: int) -> None:
+    """Raise ValueError unless init_scale > 0 and every size is >= 1."""
+    small = {name: n for name, n in sizes.items() if n < 1}
+    if small:
+        raise ValueError(f"policy sizes must be >= 1, got {small}")
+    if not init_scale > 0:
+        raise ValueError(f"init_scale must be > 0, got {init_scale}")
+
+
 def init_params(vocab_size: int = 64, context_size: int = 16, embed_dim: int = 32,
                 hidden_dim: int = 64, seed: int = 0, init_scale: float = 0.08) -> PolicyParams:
-    """Gaussian-initialized weights, zero biases."""
+    """Gaussian-initialized weights, zero biases; see check_init."""
+    check_init(init_scale, vocab_size=vocab_size, context_size=context_size,
+               embed_dim=embed_dim, hidden_dim=hidden_dim)
     rng = np.random.default_rng(seed)
     return PolicyParams(
         E=rng.normal(0.0, init_scale, (vocab_size, embed_dim)),
@@ -178,10 +193,7 @@ def attach_lora(params: PolicyParams, cfg: LoraConfig, seed: int = 0) -> PolicyP
         a = rng.normal(0.0, 1.0 / cfg.rank, (cfg.rank, cols))
         b = np.zeros((rows, cfg.rank))
         lora[name] = (a, b)
-    out = params.copy()
-    out.lora = lora
-    out.lora_cfg = cfg
-    return out
+    return replace(detach_lora(params), lora=lora, lora_cfg=cfg)
 
 
 def merge_lora(params: PolicyParams) -> PolicyParams:
@@ -189,22 +201,13 @@ def merge_lora(params: PolicyParams) -> PolicyParams:
 
     forward_logits of the merged model matches the adapted model exactly.
     """
-    if params.lora is None:
-        return params.copy()
-    merged = params.copy()
-    for name in params.lora:
-        setattr(merged, name, params.effective(name).copy())
-    merged.lora = None
-    merged.lora_cfg = None
-    return merged
+    hosts = {host: params.effective(host) for host in params.lora or ()}
+    return replace(detach_lora(params), **hosts)
 
 
 def detach_lora(params: PolicyParams) -> PolicyParams:
     """Base weights with the adapter removed (the GRPO reference policy)."""
-    out = params.copy()
-    out.lora = None
-    out.lora_cfg = None
-    return out
+    return replace(params, lora=None, lora_cfg=None).copy()
 
 
 def _check_tokens(params: PolicyParams, tokens) -> np.ndarray:
@@ -415,20 +418,12 @@ def backward(params: PolicyParams, prompt, completion, per_token_loss_grads,
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(params: PolicyParams, path, extra: dict | None = None) -> None:
-    tensors: list[tuple[str, np.ndarray]] = list(params.base_tensors().items())
-    if params.lora is not None:
-        for name in sorted(params.lora):
-            a, b = params.lora[name]
-            tensors.append((f"lora.{name}.A", a))
-            tensors.append((f"lora.{name}.B", b))
+    tensors = params.tensors()
     header = {
         "format_version": 1,
         "context_size": params.context_size,
-        "tensors": [{"name": n, "shape": list(t.shape)} for n, t in tensors],
-        "lora_cfg": (
-            {"rank": params.lora_cfg.rank, "alpha": params.lora_cfg.alpha,
-             "targets": list(params.lora_cfg.targets)}
-            if params.lora_cfg is not None else None),
+        "tensors": [{"name": n, "shape": list(t.shape)} for n, t in tensors.items()],
+        "lora_cfg": params.lora_cfg and asdict(params.lora_cfg),
         "extra": extra or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -440,7 +435,7 @@ def save_checkpoint(params: PolicyParams, path, extra: dict | None = None) -> No
             f.write(CKPT_MAGIC)
             f.write(struct.pack("<I", len(blob)))
             f.write(blob)
-            for _, t in tensors:
+            for t in tensors.values():
                 f.write(np.ascontiguousarray(t, dtype=np.float64).tobytes())
         os.replace(tmp, path)
     except BaseException:
@@ -449,39 +444,68 @@ def save_checkpoint(params: PolicyParams, path, extra: dict | None = None) -> No
 
 
 def load_checkpoint(path) -> tuple[PolicyParams, dict]:
-    """Returns (params, extra metadata dict)."""
+    """Returns (params, extra metadata dict). A file that is not exactly one
+    checkpoint whose tensors fit each other raises CheckpointError."""
     try:
-        with open(path, "rb") as f:
-            magic = f.read(len(CKPT_MAGIC))
-            if magic != CKPT_MAGIC:
-                raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-            (hlen,) = struct.unpack("<I", f.read(4))
-            header = json.loads(f.read(hlen).decode("utf-8"))
-            if header.get("format_version") != 1:
-                raise CheckpointError(
-                    f"{path}: unsupported checkpoint version {header.get('format_version')}")
-            loaded: dict[str, np.ndarray] = {}
-            for spec in header["tensors"]:
-                shape = tuple(spec["shape"])
-                count = int(np.prod(shape)) if shape else 1
-                buf = f.read(count * 8)
-                if len(buf) != count * 8:
-                    raise CheckpointError(f"{path}: truncated tensor {spec['name']}")
-                loaded[spec["name"]] = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not data.startswith(CKPT_MAGIC):
+        raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
+    try:
+        return _parse_checkpoint(data)
+    except (ValueError, KeyError, TypeError, struct.error) as exc:
+        raise CheckpointError(
+            f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from exc
 
-    lora_cfg = None
-    lora = None
-    if header.get("lora_cfg"):
-        c = header["lora_cfg"]
-        lora_cfg = LoraConfig(rank=c["rank"], alpha=c["alpha"],
-                              targets=tuple(c["targets"]))
-        lora = {name: (loaded[f"lora.{name}.A"], loaded[f"lora.{name}.B"])
-                for name in lora_cfg.targets}
-    params = PolicyParams(
-        E=loaded["E"], W1=loaded["W1"], b1=loaded["b1"],
-        W2=loaded["W2"], b2=loaded["b2"],
-        context_size=int(header["context_size"]),
-        lora=lora, lora_cfg=lora_cfg)
+
+def _parse_checkpoint(data: bytes) -> tuple[PolicyParams, dict]:
+    offset = len(CKPT_MAGIC) + 4
+    (hlen,) = struct.unpack_from("<I", data, len(CKPT_MAGIC))
+    header = json.loads(data[offset:offset + hlen])
+    if not isinstance(header, dict):
+        raise ValueError("the header is not a JSON object")
+    if header.get("format_version") != 1:
+        raise ValueError(f"unsupported checkpoint version {header.get('format_version')}")
+    offset += hlen
+    loaded: dict[str, np.ndarray] = {}
+    for spec in header["tensors"]:
+        shape = tuple(spec["shape"])
+        count = math.prod(shape)
+        if min(shape, default=0) < 0 or offset + 8 * count > len(data):
+            raise ValueError(f"truncated tensor {spec['name']}")
+        loaded[spec["name"]] = np.frombuffer(
+            data, np.float64, count, offset).reshape(shape).copy()
+        offset += 8 * count
+    if offset != len(data):
+        raise ValueError(f"{len(data) - offset} bytes after the last tensor")
+
+    lora_cfg = header["lora_cfg"] and LoraConfig(**header["lora_cfg"])
+    lora = lora_cfg and {host: tuple(loaded[n] for n in _lora_names(host))
+                         for host in lora_cfg.targets}
+    params = PolicyParams(**{n: loaded[n] for n in BASE_TENSORS},
+                          context_size=int(header["context_size"]),
+                          lora=lora, lora_cfg=lora_cfg)
+    _check_shapes(params, loaded)
     return params, header.get("extra", {})
+
+
+def _check_shapes(params: PolicyParams, loaded: dict[str, np.ndarray]) -> None:
+    """ValueError unless loaded is exactly params.tensors() and each tensor
+    fits E's (V, d), b1's h, the context size and the adapter rank."""
+    names, want_names = sorted(loaded), sorted(params.tensors())
+    if names != want_names:
+        raise ValueError(f"tensors {names} do not match {want_names}")
+    if params.E.ndim != 2 or params.b1.ndim != 1:
+        raise ValueError(f"E must be a matrix and b1 a vector, got "
+                         f"{params.E.shape} and {params.b1.shape}")
+    (V, d), (h,) = params.E.shape, params.b1.shape
+    want = {"E": (V, d), "W1": (params.context_size * d, h), "b1": (h,),
+            "W2": (h, V), "b2": (V,)}
+    for host in params.lora or ():
+        (rows, cols), r = want[host], params.lora_cfg.rank
+        want.update(zip(_lora_names(host), [(r, cols), (rows, r)]))
+    bad = [f"{n} {t.shape} (expected {want[n]})"
+           for n, t in params.tensors().items() if t.shape != want[n]]
+    if bad:
+        raise ValueError("tensor shapes do not fit: " + ", ".join(bad))

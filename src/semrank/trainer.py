@@ -29,7 +29,7 @@ import numpy as np
 from . import policy
 from .errors import SemrankError
 from .optim import AdamWState, LrSchedule, MuonState, lr_at, optimizer_step
-from .rewards import RewardBreakdown
+from .rewards import COMPONENT_NAMES, RewardBreakdown
 
 logger = logging.getLogger(__name__)
 
@@ -76,6 +76,12 @@ class GrpoConfig:
             raise ValueError("steps must be >= 0")
         if self.prompts_per_step < 1:
             raise ValueError("prompts_per_step must be >= 1")
+        if self.max_new_tokens < 1:
+            raise ValueError("max_new_tokens must be >= 1")
+        if not self.adv_eps > 0:
+            raise ValueError("adv_eps must be > 0")
+        if not self.lr > 0:
+            raise ValueError("lr must be > 0")
 
 
 @dataclass(frozen=True)
@@ -242,14 +248,12 @@ def grpo_step(state: TrainState, items: Sequence[GrpoItem], score_fn: ScoreFn,
     update = _grpo_pass(state, groups, cfg)
     state.step += 1
 
+    rewards = [b for grp in groups for b in grp.rewards]
     metrics = {
         "step": state.step,
-        "mean_total": float(np.mean([b.total for grp in groups for b in grp.rewards])),
-        "mean_semantic": _mean_or_none([b.semantic for grp in groups for b in grp.rewards]),
-        "mean_rouge": _mean_or_none([b.rouge for grp in groups for b in grp.rewards]),
-        "mean_answer": _mean_or_none([b.answer for grp in groups for b in grp.rewards]),
-        "mean_format": _mean_or_none([b.format for grp in groups for b in grp.rewards]),
-        "mean_think": _mean_or_none([b.think for grp in groups for b in grp.rewards]),
+        "mean_total": float(np.mean([b.total for b in rewards])),
+        **{f"mean_{name}": _mean_or_none([getattr(b, name) for b in rewards])
+           for name in COMPONENT_NAMES},
         "mean_kl": update["mean_kl"],
         "loss": update["loss"],
         "lr": cfg.lr,

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from semrank.arena import (EloTable, MatchRecord, TournamentReport,
                            bradley_terry_ratings, elo_update, evaluate_accuracy,
                            judge_pair, run_tournament)
-from semrank.judge import MockJudge
+from semrank.judge import MockJudge, make_judge
+from semrank.mockserve import StubBehavior, StubServer
 
 
 def expected_score_oracle(r_a, r_b):
@@ -208,6 +209,23 @@ class TestTournament:
         r_new = run_tournament(renamed, items, [MockJudge("prefer-longer")], seed=7)
         assert r_base.tables["mock:prefer-longer"].rating("a") == pytest.approx(
             r_new.tables["mock:prefer-longer"].rating("modello_uno"))
+
+    def test_http_judges_with_one_model_name_keep_their_own_tables(self):
+        items = self.items(6)
+        models = make_models(items, {"verboso": 8, "conciso": 1})
+        with StubServer("judge", StubBehavior(mode="prefer-longer")) as longer, \
+                StubServer("judge", StubBehavior(mode="prefer-shorter")) as shorter:
+            judges = [make_judge(stub.judge_url) for stub in (longer, shorter)]
+            report = run_tournament(models, items, judges, seed=5)
+            assert list(report.tables) == [longer.judge_url, shorter.judge_url]
+        row = {r["model"]: r for r in report.aggregate}
+        assert row["verboso"]["min_elo"] < 1500 < row["verboso"]["max_elo"]
+
+    def test_duplicate_judge_names_rejected(self):
+        items = self.items(2)
+        with pytest.raises(ValueError, match="distinct"):
+            run_tournament(make_models(items, {"a": 2, "b": 1}), items,
+                           [MockJudge("prefer-longer"), MockJudge("prefer-longer")])
 
     def test_missing_explanation_rejected(self):
         items = self.items(2)

@@ -6,11 +6,13 @@ from pathlib import Path
 import pytest
 
 from semrank._http import post_json
-from semrank.cli import (_provider, build_parser, judge_endpoint, load_config,
-                         main, serve_stub)
+from semrank.arena import AGGREGATE_COLUMNS, RATINGS_COLUMNS
+from semrank.cli import (SCORE_COLUMNS, _provider, build_parser, judge_endpoint,
+                         load_config, main, serve_stub)
 from semrank.dataprep import read_jsonl
 from semrank.embedder import RemoteEncoder
 from semrank.judge import build_score_prompt
+from semrank.trainer import METRICS_COLUMNS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -323,6 +325,22 @@ class TestConfig:
         ("arena", "judges", ["mock:nope"]),
         ("arena", "judges", []),
         ("judge", "timeout", -1),
+        ("grpo", "max_new_tokens", 0),
+        ("grpo", "adv_eps", -1),
+        ("grpo", "adv_eps", 0),
+        ("grpo", "lr", 0),
+        ("grpo", "lr", -1e-3),
+        ("cpt", "lr", 0),
+        ("sft", "lr", -1),
+        ("cpt", "weight_decay", -0.1),
+        ("sft", "weight_decay", -0.1),
+        ("grpo", "weight_decay", -0.1),
+        ("policy", "context_size", 0),
+        ("policy", "embed_dim", 0),
+        ("policy", "hidden_dim", -1),
+        ("policy", "hidden_dim", 0),
+        ("policy", "init_scale", -1),
+        ("arena", "judges", ["mock:prefer-longer", "mock:prefer-longer"]),
     ])
     def test_bad_value_exit_2_before_any_output(self, tmp_path, capsys,
                                                 section, key, value):
@@ -340,6 +358,23 @@ class TestConfig:
     def test_accepted_value_loads_as_given(self, tmp_path, section, key, value):
         cfg = load_config(str(write_config(tmp_path, **{section: {key: value}})))
         assert cfg[section][key] == value
+
+    @pytest.mark.parametrize("argv,config,names", [
+        (["train", "grpo"], {"grpo": {"rewards": ["semantic", "judge"]}},
+         ["judge.url", "SEMRANK_JUDGE_URL"]),
+        (["train", "grpo", "--embedder", "remote"], {},
+         ["embedder.base_url", "SEMRANK_EMBED_URL"]),
+        (["score", "--generations", "gens.jsonl", "--embedder", "remote"], {},
+         ["embedder.base_url", "SEMRANK_EMBED_URL"]),
+    ])
+    def test_missing_service_url_exit_2(self, tmp_path, monkeypatch, capsys,
+                                        argv, config, names):
+        for var in ("SEMRANK_JUDGE_URL", "SEMRANK_EMBED_URL"):
+            monkeypatch.delenv(var, raising=False)
+        cfg = write_config(tmp_path, **config)
+        assert main([*argv, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in names), err
 
     def test_readme_quick_start_config_loads(self, tmp_path):
         text = README.read_text(encoding="utf-8")
@@ -498,3 +533,22 @@ class TestServe:
                 "model": "stub", "messages": [{"role": "user", "content": prompt}]},
                 timeout=10)
         assert reply["choices"][0]["message"]["content"] == "10"
+
+
+def readme_columns(label: str) -> list[str]:
+    """The backticked column list that follows label in README's File
+    formats section."""
+    section = README.read_text(encoding="utf-8").split("## File formats")[1]
+    after = section.split("\n## ")[0].split(label, 1)[1]
+    listed = next(span for span in after.split("`")[1::2] if "," in span)
+    return [name.strip() for name in listed.split(",")]
+
+
+@pytest.mark.parametrize("label,columns", [
+    ("GRPO metrics CSV", METRICS_COLUMNS),
+    ("Rewards CSV", SCORE_COLUMNS),
+    ("`ratings.csv` =", RATINGS_COLUMNS),
+    ("`aggregate.csv` =", AGGREGATE_COLUMNS),
+])
+def test_readme_lists_the_written_columns(label, columns):
+    assert readme_columns(label) == list(columns)

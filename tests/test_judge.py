@@ -102,6 +102,11 @@ class TestHttpJudgeClient:
         with pytest.raises(JudgeServiceError):
             HttpJudgeClient(cfg).complete("ciao")
 
+    def test_named_by_url(self):
+        url = "http://127.0.0.1:1/v1/chat/completions"
+        client = make_judge(url, JudgeEndpointConfig(url="ignored", model="m"))
+        assert judge_name(client) == url
+
     def test_make_judge_specs(self):
         assert isinstance(make_judge("mock:prefer-longer"), MockJudge)
         client = make_judge("http://127.0.0.1:1/v1/chat/completions",

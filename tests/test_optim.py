@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from semrank.optim import (AdamWState, LrSchedule, MuonState, adamw_step,
-                           lr_at, muon_step, newton_schulz, optimizer_step)
+                           lr_at, make_optimizer, muon_step, newton_schulz,
+                           optimizer_step)
 
 
 def polar_factor_eigh(G):
@@ -232,3 +233,10 @@ class TestMuon:
         p = {"w": np.ones((2, 2))}
         optimizer_step(AdamWState(lr=0.1), p, {"w": np.ones((2, 2))})
         optimizer_step(MuonState(lr=0.1), p, {"w": np.ones((2, 2))})
+
+
+@pytest.mark.parametrize("kind", ["adamw", "muon"])
+@pytest.mark.parametrize("lr,weight_decay", [(0.0, 0.0), (-1e-3, 0.0), (1e-3, -0.1)])
+def test_make_optimizer_rejects_out_of_range(kind, lr, weight_decay):
+    with pytest.raises(ValueError):
+        make_optimizer(kind, lr=lr, weight_decay=weight_decay)

@@ -1,3 +1,7 @@
+import json
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -412,3 +416,120 @@ class TestCheckpoint:
         loaded, _ = load_checkpoint(path)
         assert greedy_decode(params, [1, 2], max_len=6) == \
             greedy_decode(loaded, [1, 2], max_len=6)
+
+
+class TestTensorTable:
+    def test_base_then_adapter_factors_in_host_order(self):
+        params = attach_lora(tiny(seed=36), LoraConfig(rank=2, alpha=4.0,
+                                                       targets=("W2", "W1")), seed=37)
+        assert list(params.tensors()) == [
+            "E", "W1", "b1", "W2", "b2",
+            "lora.W1.A", "lora.W1.B", "lora.W2.A", "lora.W2.B"]
+        assert params.trainable() == {n: t for n, t in params.tensors().items()
+                                      if n.startswith("lora.")}
+        assert params.tensors()["lora.W2.B"] is params.lora["W2"][1]
+
+    def test_base_params_train_every_tensor(self):
+        params = tiny(seed=38)
+        assert list(params.trainable()) == list(params.tensors()) == list(policy.BASE_TENSORS)
+
+    def test_checkpoint_stores_the_table(self, tmp_path):
+        params = attach_lora(tiny(seed=39), LoraConfig(rank=2, alpha=4.0), seed=40)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        header = _split(path.read_bytes())[0]
+        assert [t["name"] for t in header["tensors"]] == list(params.tensors())
+        loaded, _ = load_checkpoint(path)
+        save_checkpoint(loaded, tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+    def test_digest_changes_with_any_tensor(self):
+        params = attach_lora(tiny(seed=41), LoraConfig(rank=2, alpha=4.0), seed=42)
+        before = params.digest()
+        for name, t in params.copy().tensors().items():
+            changed = params.copy()
+            changed.tensors()[name].flat[0] += 1.0
+            assert changed.digest() != before, name
+        assert params.digest() == before
+
+
+def _split(data):
+    """(header, {name: buffer bytes}) of checkpoint bytes."""
+    hlen = struct.unpack_from("<I", data, 8)[0]
+    header = json.loads(data[12:12 + hlen])
+    buffers, offset = {}, 12 + hlen
+    for spec in header["tensors"]:
+        size = 8 * math.prod(spec["shape"])
+        buffers[spec["name"]] = data[offset:offset + size]
+        offset += size
+    return header, buffers
+
+
+def _rewrite(edit):
+    """Checkpoint bytes with header and buffers passed through edit."""
+    def corrupt(data):
+        header, buffers = _split(data)
+        edit(header, buffers)
+        blob = json.dumps(header, sort_keys=True).encode()
+        return (data[:8] + struct.pack("<I", len(blob)) + blob
+                + b"".join(buffers[t["name"]] for t in header["tensors"]))
+    return corrupt
+
+
+def _drop(name):
+    def edit(header, buffers):
+        header["tensors"] = [t for t in header["tensors"] if t["name"] != name]
+        del buffers[name]
+    return edit
+
+
+def _reshape(name, shape):
+    def edit(header, buffers):
+        next(t for t in header["tensors"] if t["name"] == name)["shape"] = shape
+    return edit
+
+
+def _header_bytes(blob):
+    return lambda data: data[:8] + struct.pack("<I", len(blob)) + blob
+
+
+class TestMalformedCheckpoint:
+    """hidden size 4, context 3, embed 4, vocab 7, LoRA rank 2 on W1 and W2."""
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda data: data[:10],  # cut inside the length field
+        lambda data: data[:40],  # cut inside the header
+        lambda data: data[:12] + b"x" * (len(data) - 12),  # header is not JSON
+        _header_bytes(b"[1, 2]"),  # header is not an object
+        _rewrite(_drop("b2")),
+        _rewrite(_drop("lora.W1.B")),
+        lambda data: data + bytes(16),  # trailing bytes
+        _rewrite(_reshape("b1", [2, 2])),
+        _rewrite(_reshape("E", [4, 7])),
+        _rewrite(_reshape("lora.W1.A", [4, 2])),
+        _rewrite(lambda header, buffers: header.update(context_size=2)),
+        _rewrite(lambda header, buffers: header["lora_cfg"].update(rank=1)),
+        _rewrite(lambda header, buffers: header["lora_cfg"].update(bogus=1)),
+        _rewrite(lambda header, buffers: header.update(lora_cfg=None)),
+    ], ids=["cut-length", "cut-header", "non-json-header", "header-not-object",
+            "no-b2", "no-adapter-factor", "trailing-bytes", "b1-not-a-vector",
+            "E-transposed", "factor-off-its-host", "W1-rows-not-C-d",
+            "rank-not-factor-rank", "unknown-lora-key", "factors-without-adapter"])
+    def test_rejected_with_checkpoint_error(self, tmp_path, corrupt):
+        params = attach_lora(tiny(seed=43, hidden_dim=4), LoraConfig(rank=2, alpha=4.0),
+                             seed=44)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        assert _rewrite(lambda header, buffers: None)(path.read_bytes()) == path.read_bytes()
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+
+class TestInitChecks:
+    @pytest.mark.parametrize("kw", [dict(context_size=0), dict(embed_dim=0),
+                                    dict(hidden_dim=0), dict(vocab_size=0),
+                                    dict(init_scale=0.0)])
+    def test_bad_size_or_scale_rejected(self, kw):
+        with pytest.raises(ValueError):
+            tiny(**kw)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from semrank import policy
 from semrank.optim import AdamWState, LrSchedule
-from semrank.rewards import RewardBreakdown
+from semrank.rewards import COMPONENT_NAMES, RewardBreakdown
 from semrank.tokenizers import ByteBucketVocab, EOS_ID
 from semrank.trainer import (GrpoConfig, GrpoItem, GrpoNaNError, SftItem,
                              TrainState, _collect_rollouts, grpo_step,
@@ -191,6 +191,18 @@ class TestGrpoStep:
         assert metrics["loss"] == pytest.approx(0.0, abs=1e-9)
         assert metrics["mean_kl"] == pytest.approx(0.0, abs=1e-9)
 
+    def test_metrics_mean_every_component(self):
+        state = make_state(seed=10)
+        cfg = GrpoConfig(group_size=2, steps=1, prompts_per_step=1,
+                         max_new_tokens=4, lr=1e-3, seed=0)
+        metrics, _ = grpo_step(state, [GrpoItem(item_id="a", prompt_tokens=(1, 2))],
+                               lambda item, text: RewardBreakdown(judge=0.5, format=1.0,
+                                                                  total=1.5),
+                               decode_ids, cfg, step_seed=0)
+        assert {n: metrics[f"mean_{n}"] for n in COMPONENT_NAMES} == {
+            "semantic": None, "rouge": None, "judge": 0.5,
+            "answer": None, "format": 1.0, "think": None}
+
     def test_first_step_ratio_is_one(self):
         state = make_state(seed=11)
         cfg = GrpoConfig(group_size=3, steps=1, prompts_per_step=1,
@@ -350,3 +362,9 @@ class TestRunGrpo:
             GrpoConfig(kl_coeff=-0.1)
         with pytest.raises(ValueError):
             GrpoConfig(temperature=0.0)
+
+    @pytest.mark.parametrize("kw", [dict(max_new_tokens=0), dict(adv_eps=0.0),
+                                    dict(adv_eps=-1.0), dict(lr=0.0), dict(lr=-1e-3)])
+    def test_out_of_range_rejected(self, kw):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            GrpoConfig(**kw)
