@@ -13,6 +13,12 @@ token log-probabilities, so one kernel, `token_forward`, serves them all:
 one forward over stacked context windows gives the log-probs and the exact
 gradient of sum_n g_n * log pi(target_n) for caller-supplied weights g_n
 (in LoRA mode, of the adapter factors only: the host tensors are frozen).
+Its first layer reads a per-position lookup table, row c*V + v holding
+E[v] @ W1[c] (Devlin et al., 2014): a window's pre-activation is the sum
+of C table rows, and the backward sums the pre-activation gradients
+grouped by table row, from which dW1 and dE follow by small products. A W1
+adapter stays factored, x @ W1 + scale * (x @ B1) @ A1, so the kernel never
+forms W1_eff or the full dW1. The decoder, `generate`, multiplies by W1_eff.
 
 Contexts shorter than C are left-padded with PAD_ID. Sampling and
 log-probability bookkeeping share one temperature convention: logits are
@@ -257,30 +263,73 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
+def _position_table(E: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The (C*V, k) first-layer table of a (C*d, k) matrix w: row c*V + v is
+    E[v] @ w[c*d:(c+1)*d], token v's product at context position c."""
+    return np.matmul(E, w.reshape(-1, E.shape[1], w.shape[1])).reshape(-1, w.shape[1])
+
+
+def _position_table_grad(E: np.ndarray, dT: np.ndarray) -> np.ndarray:
+    """The adjoint of _position_table in w: block c of dw is E^T dT[c]."""
+    return np.matmul(E.T, dT.reshape(-1, E.shape[0], dT.shape[1])).reshape(-1, dT.shape[1])
+
+
+def _lookup_sum(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """x @ w for N windows given their (C, N) table keys: the sum over
+    positions c of table[keys[c]], added in position order."""
+    out = np.zeros((keys.shape[1], table.shape[1]))
+    for col in keys:
+        out += table.take(col, axis=0)
+    return out
+
+
+def _grouped_row_sums(keys: np.ndarray, rows: np.ndarray, n_keys: int) -> np.ndarray:
+    """The adjoint of _lookup_sum: row k of the (n_keys, cols) result is the
+    sum of rows[n] over every (c, n) with keys[c, n] == k. One bincount per
+    column keeps the scratch memory at one (C*N,) weight vector."""
+    flat = keys.ravel()
+    out = np.empty((rows.shape[1], n_keys))
+    for j, col in enumerate(rows.T):
+        out[j] = np.bincount(flat, np.tile(col, len(keys)), n_keys)
+    return out.T
+
+
 def token_forward(params: PolicyParams, windows, targets, temperature: float = 1.0):
     """One forward over N stacked (N, C) context windows.
 
     Returns (logp, grad_of): logp[n] is the tempered log-prob of targets[n],
     and grad_of(g) the exact gradient of sum_n g[n] * logp[n] w.r.t.
     params.trainable() (in LoRA mode the adapter factors only, the hosts
-    are frozen), from this same forward. The first layer is summed
-    one context position at a time, so the (N, C*d) gathered embeddings are
-    never built; dW1 and dE are likewise computed per position.
+    are frozen), from this same forward.
+
+    The first layer reads a per-position lookup table (Devlin et al., 2014):
+    T = E @ W1[c] is (C*V, h), and a window's pre-activation is the sum of
+    its rows at keys window[c] + c*V, so the (N, C*d) gathered embeddings
+    are never built. The backward sums the rows of dpre grouped by key into
+    dT, then dW1[c] = E^T dT[c] and dE = sum_c dT[c] W1[c]^T. A W1 adapter
+    is factored: a second table of B1 gives U = x @ B1 (N, r), the policy
+    adds s * U @ A1, and dA1 = s * U^T dpre while dB1 comes from the grouped
+    sums of s * dpre @ A1^T at rank r, so neither W1 + s*B1@A1 nor the
+    full dW1 is formed.
     """
     windows = _check_tokens(params, windows)
     targets = _check_tokens(params, targets)
     N = len(targets)
-    C, d = params.context_size, params.embed_dim
+    C, V = params.context_size, params.vocab_size
     if windows.shape != (N, C):
         raise ValueError(f"windows must have shape ({N}, {C}), got {windows.shape}")
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    w1, w2 = params.effective("W1"), params.effective("W2")
-    blocks = [slice(c * d, (c + 1) * d) for c in range(C)]
-
-    pre = np.zeros((N, params.hidden_dim))
-    for c, block in enumerate(blocks):
-        pre += params.E[windows[:, c]] @ w1[block]
+    lora = params.lora or {}
+    scale = params.lora_cfg.scale if params.lora else 0.0
+    # keys[c, n]: the table row of window n's token at position c
+    keys = np.ascontiguousarray((windows + V * np.arange(C)).T)
+    pre = _lookup_sum(_position_table(params.E, params.W1), keys)
+    if "W1" in lora:
+        A1, B1 = lora["W1"]
+        U = _lookup_sum(_position_table(params.E, B1), keys)
+        pre += scale * (U @ A1)
+    w2 = params.effective("W2")
     H = np.tanh(pre + params.b1)
     logp_all = _log_softmax((H @ w2 + params.b2) / temperature)
     rows = np.arange(N)
@@ -295,25 +344,25 @@ def token_forward(params: PolicyParams, windows, targets, temperature: float = 1
         dlogits = -np.exp(logp_all) * gt[:, None]
         dlogits[rows, targets] += gt
         dW2 = H.T @ dlogits
-        dA1 = (dlogits @ w2.T) * (1.0 - H * H)
-        dW1 = np.empty_like(w1)
-        for c, block in enumerate(blocks):
-            dW1[block] = params.E[windows[:, c]].T @ dA1
+        dpre = (dlogits @ w2.T) * (1.0 - H * H)
 
         if params.lora is not None:
-            scale = params.lora_cfg.scale
-            host_grads = {"W1": dW1, "W2": dW2}
             grads: dict[str, np.ndarray] = {}
-            for name, (a, b) in params.lora.items():
-                dhost = host_grads[name]
-                grads[f"lora.{name}.A"] = scale * (b.T @ dhost)
-                grads[f"lora.{name}.B"] = scale * (dhost @ a.T)
+            if "W1" in lora:
+                grads["lora.W1.A"] = scale * (U.T @ dpre)
+                grads["lora.W1.B"] = _position_table_grad(
+                    params.E, _grouped_row_sums(keys, scale * (dpre @ A1.T), C * V))
+            if "W2" in lora:
+                A2, B2 = lora["W2"]
+                grads["lora.W2.A"] = scale * (B2.T @ dW2)
+                grads["lora.W2.B"] = scale * (dW2 @ A2.T)
             return grads
 
-        dE = np.zeros_like(params.E)
-        for c, block in enumerate(blocks):
-            np.add.at(dE, windows[:, c], dA1 @ w1[block].T)
-        return {"E": dE, "W1": dW1, "b1": dA1.sum(axis=0),
+        dT = _grouped_row_sums(keys, dpre, C * V)
+        h = params.hidden_dim
+        dE = np.matmul(dT.reshape(C, V, h),
+                       params.W1.reshape(C, -1, h).transpose(0, 2, 1)).sum(axis=0)
+        return {"E": dE, "W1": _position_table_grad(params.E, dT), "b1": dpre.sum(axis=0),
                 "W2": dW2, "b2": dlogits.sum(axis=0)}
 
     return logp_all[rows, targets], grad_of
