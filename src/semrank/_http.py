@@ -8,10 +8,9 @@ import urllib.request
 
 
 class HttpStatusError(Exception):
-    def __init__(self, status: int, url: str, body: str = ""):
+    def __init__(self, status: int, url: str):
         super().__init__(f"HTTP {status} from {url}")
         self.status = status
-        self.body = body
 
 
 class HttpTransportError(Exception):
@@ -34,12 +33,8 @@ def post_json(url: str, payload: dict, timeout: float,
         with urllib.request.urlopen(req, timeout=timeout) as resp:
             raw = resp.read()
     except urllib.error.HTTPError as exc:
-        detail = ""
-        try:
-            detail = exc.read().decode("utf-8", errors="replace")
-        except Exception:
-            pass
-        raise HttpStatusError(exc.code, url, detail) from exc
+        exc.close()  # the error body goes unread: free its connection now
+        raise HttpStatusError(exc.code, url) from exc
     except (urllib.error.URLError, TimeoutError, OSError) as exc:
         raise HttpTransportError(f"POST {url} failed: {exc}") from exc
     try:

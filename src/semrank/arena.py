@@ -5,13 +5,11 @@ Matches are scheduled as all unordered model pairs crossed with all items,
 shuffled with a seeded RNG, and applied to the Elo table sequentially in
 that order. Each match presents the two explanations to the judge in
 seeded-random order under anonymous labels "1" and "2"; the verdict is
-mapped back to the real sides afterwards. A Bradley-Terry fit is available
-as a second, order-independent estimator for robustness reporting.
+mapped back to the real sides afterwards.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -206,41 +204,3 @@ def evaluate_accuracy(outputs: dict[str, TaggedOutput | str],
         hits += int(answer_reward(out, ctx) == 1.0)
     return hits / len(gold_answers)
 
-
-def bradley_terry_ratings(matches: list[MatchRecord], iterations: int = 200,
-                          tol: float = 1e-10) -> dict[str, float]:
-    """Order-independent second estimator: Bradley-Terry strengths fit by
-    minorization-maximization, reported on the Elo scale anchored so the
-    mean rating is 1500. Ties count as half a win for each side.
-    """
-    models = sorted({m for rec in matches for m in (rec.model_a, rec.model_b)})
-    index = {m: i for i, m in enumerate(models)}
-    n = len(models)
-    wins = np.zeros((n, n))
-    for rec in matches:
-        i, j = index[rec.model_a], index[rec.model_b]
-        if rec.outcome == "A":
-            wins[i, j] += 1.0
-        elif rec.outcome == "B":
-            wins[j, i] += 1.0
-        else:
-            wins[i, j] += 0.5
-            wins[j, i] += 0.5
-    strengths = np.ones(n)
-    games = wins + wins.T
-    for _ in range(iterations):
-        prev = strengths.copy()
-        for i in range(n):
-            denom = 0.0
-            for j in range(n):
-                if i == j or games[i, j] == 0:
-                    continue
-                denom += games[i, j] / (strengths[i] + strengths[j])
-            if denom > 0:
-                strengths[i] = max(wins[i].sum(), 1e-12) / denom
-        strengths /= np.exp(np.mean(np.log(strengths)))  # fix the gauge
-        if np.max(np.abs(strengths - prev)) < tol:
-            break
-    elo = {m: 400.0 * math.log10(strengths[index[m]]) for m in models}
-    shift = INITIAL_RATING - float(np.mean(list(elo.values())))
-    return {m: v + shift for m, v in elo.items()}

@@ -19,8 +19,6 @@ import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import arena as arena_mod
 from . import dataprep, mockserve, policy, synthdata, trainer
 from .embedder import (DEFAULT_CENTROID_SAMPLE, DEFAULT_TOY_DIM, PROVIDER_KINDS,
@@ -58,7 +56,9 @@ _ENCODER, _JUDGE = _defaults(EncoderEndpointConfig), _defaults(JudgeEndpointConf
 # init_params' seed is the top-level "seed", its vocab size the tokenizer's
 _POLICY = {k: v for k, v in _keyword_defaults(policy.init_params).items()
            if k not in ("seed", "vocab_size")}
-_CLM = _keyword_defaults(trainer.train_clm)
+_CLM, _SFT = _keyword_defaults(trainer.train_clm), _keyword_defaults(trainer.train_sft)
+_SPLIT = _keyword_defaults(dataprep.stratified_split)
+_WEIGHT_DECAY = _keyword_defaults(make_optimizer)["weight_decay"]
 
 DEFAULT_CONFIG = {
     "version": CONFIG_VERSION,
@@ -70,16 +70,16 @@ DEFAULT_CONFIG = {
         "window": 4096,
         "overlap": 256,
         "dedup_threshold": dataprep.NEAR_DUP_THRESHOLD,
-        "ratios": [0.8, 0.1, 0.1],
+        "ratios": list(_SPLIT["ratios"]),
     },
     "policy": _POLICY,
     "cpt": {"epochs": _CLM["epochs"], "seq_len": _CLM["seq_len"],
             "batch_size": _CLM["batch_size"], "lr": 3e-3,
-            "warmup_frac": 0.1, "weight_decay": 0.0, "optimizer": "adamw"},
-    "sft": {"epochs": 4, "batch_size": 8, "lr": 3e-3, "warmup_frac": 0.1,
-            "weight_decay": 0.0, "optimizer": "adamw",
+            "warmup_frac": 0.1, "weight_decay": _WEIGHT_DECAY, "optimizer": "adamw"},
+    "sft": {"epochs": _SFT["epochs"], "batch_size": _SFT["batch_size"], "lr": 3e-3,
+            "warmup_frac": 0.1, "weight_decay": _WEIGHT_DECAY, "optimizer": "adamw",
             "init_checkpoint": None},
-    "grpo": {**_GRPO, "weight_decay": 0.0,
+    "grpo": {**_GRPO, "weight_decay": _WEIGHT_DECAY,
              "lora_rank": _LORA["rank"], "lora_alpha": _LORA["alpha"],
              "rewards": [n for n in COMPONENT_NAMES if n in _REWARD["enabled"]],
              "c": _REWARD["c"], "clamp_floor": _REWARD["clamp_floor"],
@@ -388,20 +388,28 @@ def _run_sft(cfg: dict, out_dir: Path) -> Path:
     return ckpt
 
 
-def build_reward_contexts(items: list[dataprep.QaItem], provider,
-                          centroid_sample: int, seed: int,
-                          ) -> tuple[dict[str, RewardContext], np.ndarray]:
-    """Embed every gold explanation and the dataset centroid once."""
-    explanations = [it.rationale for it in items]
-    sampled = sample_reference_texts(explanations, centroid_sample, seed=seed)
+def _train_items(out_dir: Path) -> list[dataprep.QaItem]:
+    """The prepared train split; missing or empty raises ConfigError."""
+    train_file = _require_path(out_dir / "train.jsonl", "train split (run prepare first)")
+    items = [dataprep.qa_item_from_dict(row) for row in dataprep.read_jsonl(train_file)]
+    if not items:
+        raise ConfigError("train split is empty")
+    return items
+
+
+def build_reward_contexts(items: list[dataprep.QaItem],
+                          train_items: list[dataprep.QaItem], provider,
+                          centroid_sample: int, seed: int) -> dict[str, RewardContext]:
+    """Each item's context, by item id: its gold explanation's embedding
+    against one centroid of sampled train-split explanations, so GRPO and
+    score share v_ref."""
+    sampled = sample_reference_texts([it.rationale for it in train_items],
+                                     centroid_sample, seed=seed)
     v_ref = reference_centroid(sampled, provider)
-    vectors = provider(explanations)
-    contexts = {}
-    for item, v_gt in zip(items, vectors):
-        contexts[item.item_id] = RewardContext(
-            v_gt=v_gt, v_ref=v_ref, gt_answer=item.answer,
-            gt_explanation=item.rationale)
-    return contexts, v_ref
+    vectors = provider([it.rationale for it in items])
+    return {item.item_id: RewardContext(v_gt=v_gt, v_ref=v_ref, gt_answer=item.answer,
+                                        gt_explanation=item.rationale)
+            for item, v_gt in zip(items, vectors)}
 
 
 def _run_grpo(cfg: dict, out_dir: Path) -> Path:
@@ -429,15 +437,9 @@ def _run_grpo(cfg: dict, out_dir: Path) -> Path:
     ref = policy.detach_lora(params)
 
     vocab = _vocab()
-    train_file = _require_path(out_dir / "train.jsonl",
-                               "train split (run prepare first)")
-    qa_items = [dataprep.qa_item_from_dict(row)
-                for row in dataprep.read_jsonl(train_file)]
-    if not qa_items:
-        raise ConfigError("train split is empty")
-
-    contexts, _ = build_reward_contexts(qa_items, provider,
-                                        gc["centroid_sample"], cfg["seed"])
+    qa_items = _train_items(out_dir)
+    contexts = build_reward_contexts(qa_items, qa_items, provider,
+                                     gc["centroid_sample"], cfg["seed"])
     dataset = []
     for item in qa_items:
         prompt, _ = dataprep.to_instruction(item)
@@ -497,7 +499,7 @@ def cmd_score(cfg: dict, generations_file: str) -> int:
     provider = _provider(cfg)
     echo_config(cfg, out_dir)
     gen_path = _require_path(generations_file, "generations file")
-    _require_path(out_dir / "train.jsonl", "prepared splits (run prepare first)")
+    train_items = _train_items(out_dir)
     qa_items = {}
     for split in dataprep.SPLIT_NAMES:
         split_path = out_dir / f"{split}.jsonl"
@@ -507,8 +509,8 @@ def cmd_score(cfg: dict, generations_file: str) -> int:
                 qa_items[item.item_id] = item
     _, reward_cfg, _ = grpo_settings(cfg)
     reward_cfg = replace(reward_cfg, enabled=reward_cfg.enabled - {"judge"})
-    contexts, _ = build_reward_contexts(list(qa_items.values()), provider,
-                                        cfg["grpo"]["centroid_sample"], cfg["seed"])
+    contexts = build_reward_contexts(list(qa_items.values()), train_items, provider,
+                                     cfg["grpo"]["centroid_sample"], cfg["seed"])
     rows = []
     for row in dataprep.read_jsonl(gen_path):
         item_id = str(row.get("item_id"))

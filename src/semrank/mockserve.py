@@ -59,7 +59,6 @@ class _StubHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         with self.server.stats_lock:
             self.stats["requests"] += 1
-            self.stats["paths"].append(self.path)
             self.stats["auth_headers"].append(self.headers.get("Authorization"))
         try:
             payload = self._read_json()
@@ -110,8 +109,7 @@ class StubServer:
         _check_mode(kind, behavior.mode)
         self.kind = kind
         self.behavior = behavior
-        self.stats = {"requests": 0, "batch_sizes": [], "paths": [],
-                      "auth_headers": []}
+        self.stats = {"requests": 0, "batch_sizes": [], "auth_headers": []}
         handler = type("Handler", (_StubHandler,), {
             "behavior": behavior, "kind": kind, "stats": self.stats})
         self._server = ThreadingHTTPServer(("127.0.0.1", port), handler)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataprep import QaItem
+from .text_protocol import render_tagged
 
 _SUBJECTS = ("biologia", "chimica", "fisica", "matematica", "logica")
 
@@ -140,14 +141,12 @@ def tag_task_prompt(index: int, letter: str) -> str:
     return f"domanda {index:03d}: scegli a, b, c o d. indizio: {letter}\n"
 
 
-def tag_task_completion(letter: str, think: str = "") -> str:
-    return (f"<think>{think}</think>"
-            f"<spiegazione>vale {letter}</spiegazione>"
-            f"<risposta>{letter}</risposta>")
-
-
 def tag_task_explanation(letter: str) -> str:
     return f"vale {letter}"
+
+
+def tag_task_completion(letter: str, think: str = "") -> str:
+    return render_tagged(think, tag_task_explanation(letter), letter)
 
 
 def tag_task_items(n: int, seed: int = 0, start_index: int = 0) -> list[dict]:

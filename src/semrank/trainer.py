@@ -379,33 +379,22 @@ def train_clm(chunks: Sequence[Sequence[int]], params: policy.PolicyParams,
 
 
 def train_sft(items: Sequence[SftItem], params: policy.PolicyParams,
-              optimizer, schedule: LrSchedule, epochs: int = 1,
-              batch_size: int = 8, seed: int = 0,
-              mask_prompt: bool = True) -> tuple[policy.PolicyParams, list[float]]:
-    """Cross-entropy on completion tokens only (prompt masked from the loss).
-
-    mask_prompt=False folds the prompt into the scored tokens instead, for
-    the masking ablation.
-    """
+              optimizer, schedule: LrSchedule, epochs: int = 4,
+              batch_size: int = 8,
+              seed: int = 0) -> tuple[policy.PolicyParams, list[float]]:
+    """Cross-entropy on completion tokens only (prompt masked from the loss)."""
     for it in items:
         if len(it.completion_tokens) == 0:
             raise ValueError(f"SFT item with empty completion: {it!r}")
     if not items:
         raise ValueError("train_sft needs at least one item")
-    return _train_lm([_sft_pair(it, mask_prompt) for it in items], params,
-                     optimizer, schedule, epochs, batch_size, seed)
+    return _train_lm([(it.prompt_tokens, it.completion_tokens) for it in items],
+                     params, optimizer, schedule, epochs, batch_size, seed)
 
 
-def _sft_pair(item: SftItem, mask_prompt: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if mask_prompt:
-        return item.prompt_tokens, item.completion_tokens
-    return (), item.prompt_tokens + item.completion_tokens
-
-
-def sft_loss(items: Sequence[SftItem], params: policy.PolicyParams,
-             mask_prompt: bool = True) -> float:
+def sft_loss(items: Sequence[SftItem], params: policy.PolicyParams) -> float:
     """Mean per-token SFT loss without updating anything."""
     windows, targets, weights = _stack_pairs(
-        params, [_sft_pair(it, mask_prompt) for it in items])
+        params, [(it.prompt_tokens, it.completion_tokens) for it in items])
     logp, _ = policy.token_forward(params, windows, targets)
     return float(-(weights @ logp))

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semrank.arena import (EloTable, MatchRecord, TournamentReport,
-                           bradley_terry_ratings, elo_update, evaluate_accuracy,
-                           judge_pair, run_tournament)
+                           elo_update, evaluate_accuracy, judge_pair,
+                           run_tournament)
 from semrank.judge import MockJudge, make_judge
 from semrank.mockserve import StubBehavior, StubServer
 
@@ -274,25 +274,3 @@ class TestAccuracy:
         outputs = {"1": self.tagged("a")}
         assert evaluate_accuracy(outputs, gold) == 0.5
 
-
-class TestBradleyTerry:
-    def test_recovers_dominance_order(self):
-        matches = []
-        rng = np.random.default_rng(0)
-        # a beats b 80%, b beats c 80%
-        for i in range(200):
-            matches.append(MatchRecord(str(i), "a", "b", "j",
-                                       "A" if rng.random() < 0.8 else "B",
-                                       "a_first"))
-            matches.append(MatchRecord(str(i), "b", "c", "j",
-                                       "A" if rng.random() < 0.8 else "B",
-                                       "a_first"))
-        ratings = bradley_terry_ratings(matches)
-        assert ratings["a"] > ratings["b"] > ratings["c"]
-        assert np.mean(list(ratings.values())) == pytest.approx(1500, abs=1e-6)
-
-    def test_symmetric_record_is_flat(self):
-        matches = [MatchRecord(str(i), "a", "b", "j", "TIE", "a_first")
-                   for i in range(10)]
-        ratings = bradley_terry_ratings(matches)
-        assert ratings["a"] == pytest.approx(ratings["b"], abs=1e-6)

@@ -1,10 +1,12 @@
 import argparse
+import csv
 import json
 import os
 from pathlib import Path
 
 import pytest
 
+from semrank import cli
 from semrank._http import post_json
 from semrank.arena import AGGREGATE_COLUMNS, RATINGS_COLUMNS
 from semrank.cli import (SCORE_COLUMNS, _provider, build_parser, judge_endpoint,
@@ -163,6 +165,41 @@ class TestScoreAndReport:
         assert missing[-1] == "missing_ground_truth"
         empty = body[2]
         assert empty[4] == "0.0" and empty[5] == "0.0"
+
+    def test_score_semantic_matches_grpo_reward(self, trained, tmp_path,
+                                                monkeypatch):
+        # score and GRPO draw v_ref from the same pool (the train split),
+        # so one text for one train item gets one semantic value
+        cfg, out = trained
+        assert read_jsonl(out / "dev.jsonl")  # a centroid over every split differs
+        assert main(["train", "cpt", "--config", str(cfg)]) == 0
+        assert main(["train", "sft", "--config", str(cfg)]) == 0
+        captured = {}
+
+        def capture(state, dataset, score_fn, *args, **kwargs):
+            captured.update(dataset={it.item_id: it for it in dataset},
+                            score_fn=score_fn)
+
+        monkeypatch.setattr(cli.trainer, "run_grpo", capture)
+        assert main(["train", "grpo", "--config", str(cfg)]) == 0
+        train_items = read_jsonl(out / "train.jsonl")[:3]
+        gens = [{"item_id": it["item_id"],
+                 "text": "<think>t</think><spiegazione>" + it["rationale"]
+                         + "</spiegazione><risposta>" + it["answer"] + "</risposta>"}
+                for it in train_items]
+        gen_path = tmp_path / "gens.jsonl"
+        gen_path.write_text("\n".join(json.dumps(g) for g in gens))
+        assert main(["score", "--config", str(cfg),
+                     "--generations", str(gen_path)]) == 0
+        with open(out / "rewards.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [r["item_id"] for r in rows] == [g["item_id"] for g in gens]
+        for row, gen in zip(rows, gens):
+            expected = captured["score_fn"](captured["dataset"][gen["item_id"]],
+                                            gen["text"])
+            assert expected.semantic > 0
+            assert float(row["semantic"]) == expected.semantic
+            assert float(row["total"]) == expected.total
 
     def test_report_renders_svgs(self, trained, tmp_path):
         cfg, out = trained

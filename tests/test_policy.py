@@ -9,7 +9,7 @@ from semrank import policy
 from semrank.policy import (LoraConfig, SampledSequence, attach_lora, backward,
                             detach_lora, forward_logits, generate, greedy_decode,
                             init_params, load_checkpoint, logprob_sequence,
-                            merge_lora, sample_sequence, save_checkpoint)
+                            sample_sequence, save_checkpoint)
 from semrank.errors import CheckpointError
 from semrank.tokenizers import EOS_ID, PAD_ID
 
@@ -334,18 +334,6 @@ class TestBackward:
 
 
 class TestLora:
-    def test_merge_preserves_forward(self):
-        rng = np.random.default_rng(2)
-        params = attach_lora(tiny(seed=2), LoraConfig(rank=3, alpha=6.0), seed=8)
-        for name, (a, b) in params.lora.items():
-            b += rng.normal(0, 0.2, b.shape)
-        merged = merge_lora(params)
-        assert merged.lora is None
-        for _ in range(10):
-            ctx = rng.integers(0, 7, size=3).tolist()
-            assert np.abs(forward_logits(merged, ctx)
-                          - forward_logits(params, ctx)).max() < 1e-9
-
     def test_rank_bound_enforced(self):
         with pytest.raises(ValueError):
             attach_lora(tiny(), LoraConfig(rank=6, alpha=1.0))
