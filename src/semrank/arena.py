@@ -15,10 +15,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .judge import (JudgeClient, build_pair_prompt, judge_name, parse_verdict_reply,
-                    parsed_judgement)
-from .rewards import RewardContext, answer_reward
-from .text_protocol import TaggedOutput, parse_tagged
+from .judge import JudgeClient, build_pair_prompt, parse_verdict_reply, parsed_judgement
+from .text_protocol import TaggedOutput, normalize_answer, parse_tagged
 
 INITIAL_RATING = 1500.0
 DEFAULT_K_FACTOR = 32.0
@@ -109,7 +107,7 @@ def judge_pair(item: dict, explanation_a: str, explanation_b: str,
     else:
         outcome = "B" if a_first else "A"
     return MatchRecord(item_id=str(item["item_id"]), model_a=model_a,
-                       model_b=model_b, judge_id=judge_name(judge_client),
+                       model_b=model_b, judge_id=judge_client.name,
                        outcome=outcome,
                        presented_order="a_first" if a_first else "b_first")
 
@@ -127,20 +125,22 @@ def run_tournament(models: dict[str, dict[str, str]], items: list[dict],
                    accuracies: dict[str, float] | None = None) -> TournamentReport:
     """All unordered model pairs x all items, per judge, seeded schedule.
 
-    models maps model name -> {item_id: explanation}; every model must
-    cover every item. accuracies (optional, per model) are carried into
-    the aggregate report.
+    models maps model name -> {item_id: explanation}; items must not be
+    empty, and every model needs a non-empty explanation for each of them.
+    accuracies (optional, per model) are carried into the aggregate report.
     """
     names = sorted(models)
     if len(names) < 2:
         raise ValueError("a tournament needs at least 2 models")
+    if not items:
+        raise ValueError("a tournament needs at least 1 item")
     for name in names:
-        missing = [it["item_id"] for it in items if str(it["item_id"]) not in models[name]]
+        missing = [it["item_id"] for it in items if not models[name].get(str(it["item_id"]))]
         if missing:
-            raise ValueError(
-                f"model {name!r} is missing explanations for items: {missing[:5]}")
+            raise ValueError(f"model {name!r} is missing explanations (absent or "
+                             f"empty) for items: {missing[:5]}")
 
-    judge_names = [judge_name(judge) for judge in judges]
+    judge_names = [judge.name for judge in judges]
     if len(set(judge_names)) != len(judge_names):
         raise ValueError(f"judge names must be distinct, got {judge_names}")
 
@@ -184,23 +184,20 @@ def run_tournament(models: dict[str, dict[str, str]], items: list[dict],
 
 def evaluate_accuracy(outputs: dict[str, TaggedOutput | str],
                       gold_answers: dict[str, str]) -> float:
-    """Fraction of items whose extracted answer exactly matches the gold.
+    """Fraction of items whose extracted answer matches the gold after
+    normalize_answer.
 
-    outputs maps item_id to a TaggedOutput or raw generation text; items
-    without a gold answer raise.
+    outputs maps item_id to a TaggedOutput or raw generation text; an item
+    without an output counts as wrong, and no gold answers raise.
     """
     if not gold_answers:
         raise ValueError("no gold answers given")
-    dummy = np.array([1.0, 0.0])
     hits = 0
     for item_id, gold in gold_answers.items():
-        out = outputs.get(item_id)
+        out = outputs.get(item_id) or TaggedOutput()
         if isinstance(out, str):
             out = parse_tagged(out)
-        elif out is None:
-            out = TaggedOutput()
-        ctx = RewardContext(v_gt=dummy, v_ref=dummy, gt_answer=gold,
-                            gt_explanation="")
-        hits += int(answer_reward(out, ctx) == 1.0)
+        hits += int(out.risposta is not None
+                    and normalize_answer(out.risposta) == normalize_answer(gold))
     return hits / len(gold_answers)
 

@@ -26,16 +26,18 @@ from .embedder import (DEFAULT_CENTROID_SAMPLE, DEFAULT_TOY_DIM, PROVIDER_KINDS,
                        embed_toy, reference_centroid, sample_reference_texts)
 from .errors import ConfigError, SemrankError
 from .judge import JudgeEndpointConfig, make_judge
-from .optim import LrSchedule, make_optimizer
+from .optim import LrSchedule, lr_at, make_optimizer
 from .report import render_reports
 from .rewards import (COMPONENT_NAMES, RewardConfig, RewardContext,
                       score_generation)
+from .text_protocol import TaggedOutput
 from .tokenizers import ByteBucketVocab
 
 logger = logging.getLogger(__name__)
 
 CONFIG_VERSION = 1
 CPT_OPTIMIZERS = ("adamw", "muon", "both")  # "both" runs the two ablation arms
+STAGE_COLUMNS = ("step", "loss", "lr")  # CPT/SFT metrics.csv, one row per epoch
 
 
 def _defaults(cls) -> dict:
@@ -241,15 +243,6 @@ def _require_path(value, what: str) -> Path:
     return p
 
 
-def _vocab() -> ByteBucketVocab:
-    return ByteBucketVocab()
-
-
-def _build_policy(cfg: dict, seed: int) -> policy.PolicyParams:
-    return policy.init_params(vocab_size=ByteBucketVocab.size, seed=seed,
-                              **cfg["policy"])
-
-
 def _provider(cfg: dict):
     """The embedder section's provider; a remote one takes its URL (else
     SEMRANK_EMBED_URL) and SEMRANK_EMBED_TOKEN, and without a URL raises
@@ -281,11 +274,11 @@ def cmd_prepare(cfg: dict) -> int:
     corpus_dir = _require_path(dp["corpus_dir"], "dataprep.corpus_dir")
     qa_file = _require_path(dp["qa_file"], "dataprep.qa_file")
     echo_config(cfg, out_dir)
-    vocab = _vocab()
+    vocab = ByteBucketVocab()
 
     chunk_rows = []
     for source in sorted(corpus_dir.glob("*.txt")):
-        text = clean = dataprep.clean_text(source.read_text(encoding="utf-8"))
+        clean = dataprep.clean_text(source.read_text(encoding="utf-8"))
         paragraphs = dataprep.dedup_paragraphs(
             dataprep.split_paragraphs(clean), threshold=dp["dedup_threshold"])
         text = "\n\n".join(paragraphs)
@@ -328,72 +321,72 @@ def _schedule_and_optimizer(sc: dict, n_sequences: int, optimizer_kind: str):
                                     weight_decay=sc["weight_decay"])
 
 
-def _run_cpt(cfg: dict, optimizer_kind: str, out_dir: Path) -> tuple[Path, list[float]]:
+def _save_stage(params: policy.PolicyParams, run_dir: Path, losses: list[float],
+                schedule: LrSchedule, label: str, extra: dict) -> None:
+    """A CPT/SFT run's outputs: final.ckpt, metrics.csv (each epoch's loss
+    and its last step's learning rate) and the epoch-loss line."""
+    run_dir.mkdir(parents=True, exist_ok=True)
+    ckpt = run_dir / "final.ckpt"
+    policy.save_checkpoint(params, ckpt, extra=extra)
+    steps_per_epoch = schedule.total_steps // len(losses)
+    rows = [{"step": e + 1, "loss": loss,
+             "lr": lr_at(schedule, (e + 1) * steps_per_epoch - 1)}
+            for e, loss in enumerate(losses)]
+    trainer.write_metrics_csv(run_dir / "metrics.csv", rows, STAGE_COLUMNS)
+    print(f"{label}: epoch losses {[round(x, 4) for x in losses]} -> {ckpt}")
+
+
+def _run_cpt(cfg: dict, optimizer_kind: str, out_dir: Path) -> list[float]:
     sc = cfg["cpt"]
-    chunks_file = _require_path(Path(cfg["out_dir"]) / "corpus_chunks.jsonl",
+    chunks_file = _require_path(out_dir / "corpus_chunks.jsonl",
                                 "corpus chunks (run prepare first)")
     chunks = [row["tokens"] for row in dataprep.read_jsonl(chunks_file)]
-    params = _build_policy(cfg, seed=cfg["seed"])
+    if not any(chunks):
+        raise ConfigError(f"no tokens in {chunks_file}: no .txt file in "
+                          "dataprep.corpus_dir holds text")
+    params = policy.init_params(vocab_size=ByteBucketVocab.size, seed=cfg["seed"],
+                                **cfg["policy"])
     n_sequences = sum((len(c) + sc["seq_len"] - 1) // sc["seq_len"] for c in chunks)
     schedule, optimizer = _schedule_and_optimizer(sc, n_sequences, optimizer_kind)
-    run_dir = out_dir / f"cpt_{optimizer_kind}"
-    run_dir.mkdir(parents=True, exist_ok=True)
     params, losses = trainer.train_clm(
         chunks, params, optimizer, schedule, epochs=sc["epochs"],
         seq_len=sc["seq_len"], batch_size=sc["batch_size"], seed=cfg["seed"])
-    ckpt = run_dir / "final.ckpt"
-    policy.save_checkpoint(params, ckpt, extra={"stage": "cpt",
-                                                "optimizer": optimizer_kind,
-                                                "seed": cfg["seed"]})
-    rows = [{"step": i + 1, "loss": loss, "lr": ""}
-            for i, loss in enumerate(losses)]
-    trainer.write_metrics_csv(run_dir / "metrics.csv", rows, ["step", "loss", "lr"])
-    print(f"cpt[{optimizer_kind}]: epoch losses "
-          f"{[round(x, 4) for x in losses]} -> {ckpt}")
-    return ckpt, losses
+    _save_stage(params, out_dir / f"cpt_{optimizer_kind}", losses, schedule,
+                f"cpt[{optimizer_kind}]",
+                {"stage": "cpt", "optimizer": optimizer_kind, "seed": cfg["seed"]})
+    return losses
 
 
-def _sft_items(cfg: dict, vocab: ByteBucketVocab) -> list[trainer.SftItem]:
-    train_file = _require_path(Path(cfg["out_dir"]) / "train.jsonl",
-                               "train split (run prepare first)")
-    items = []
-    for row in dataprep.read_jsonl(train_file):
-        qa = dataprep.qa_item_from_dict(row)
-        prompt, completion = dataprep.to_instruction(qa)
-        items.append(trainer.SftItem(
-            prompt_tokens=tuple(vocab.encode(prompt)),
-            completion_tokens=tuple(vocab.encode(completion, add_eos=True))))
-    return items
-
-
-def _run_sft(cfg: dict, out_dir: Path) -> Path:
+def _run_sft(cfg: dict, out_dir: Path) -> None:
     sc = cfg["sft"]
     init = sc["init_checkpoint"] or (out_dir / "cpt_adamw" / "final.ckpt")
     init = _require_path(init, "sft.init_checkpoint (upstream CPT checkpoint)")
     params, _ = policy.load_checkpoint(init)
-    vocab = _vocab()
-    items = _sft_items(cfg, vocab)
+    vocab = ByteBucketVocab()
+    items = [trainer.SftItem(tuple(vocab.encode(prompt)),
+                             tuple(vocab.encode(completion, add_eos=True)))
+             for prompt, completion in map(dataprep.to_instruction, _train_items(out_dir))]
     schedule, optimizer = _schedule_and_optimizer(sc, len(items), sc["optimizer"])
-    run_dir = out_dir / "sft"
-    run_dir.mkdir(parents=True, exist_ok=True)
     params, losses = trainer.train_sft(items, params, optimizer, schedule,
                                        epochs=sc["epochs"],
                                        batch_size=sc["batch_size"],
                                        seed=cfg["seed"])
-    ckpt = run_dir / "final.ckpt"
-    policy.save_checkpoint(params, ckpt, extra={"stage": "sft", "seed": cfg["seed"]})
-    rows = [{"step": i + 1, "loss": loss, "lr": ""} for i, loss in enumerate(losses)]
-    trainer.write_metrics_csv(run_dir / "metrics.csv", rows, ["step", "loss", "lr"])
-    print(f"sft: epoch losses {[round(x, 4) for x in losses]} -> {ckpt}")
-    return ckpt
+    _save_stage(params, out_dir / "sft", losses, schedule, "sft",
+                {"stage": "sft", "seed": cfg["seed"]})
+
+
+def _split_items(out_dir: Path, split: str) -> list[dataprep.QaItem]:
+    """A prepared split's items; a split file that is not there raises
+    ConfigError."""
+    path = _require_path(out_dir / f"{split}.jsonl", f"{split} split (run prepare first)")
+    return [dataprep.qa_item_from_dict(row) for row in dataprep.read_jsonl(path)]
 
 
 def _train_items(out_dir: Path) -> list[dataprep.QaItem]:
     """The prepared train split; missing or empty raises ConfigError."""
-    train_file = _require_path(out_dir / "train.jsonl", "train split (run prepare first)")
-    items = [dataprep.qa_item_from_dict(row) for row in dataprep.read_jsonl(train_file)]
+    items = _split_items(out_dir, "train")
     if not items:
-        raise ConfigError("train split is empty")
+        raise ConfigError(f"train split is empty: {out_dir / 'train.jsonl'}")
     return items
 
 
@@ -433,10 +426,12 @@ def _run_grpo(cfg: dict, out_dir: Path) -> Path:
         trainer.write_metrics_csv(run_dir / "metrics.csv", [])
         print(f"grpo: 0 steps -> {final}")
         return final
-    params = policy.attach_lora(base, lora_cfg, seed=cfg["seed"])
+    # the checkpoint, not the policy section, fixes the shapes the rank must fit
+    params = _build("key grpo.lora_rank", policy.attach_lora, base, lora_cfg,
+                    seed=cfg["seed"])
     ref = policy.detach_lora(params)
 
-    vocab = _vocab()
+    vocab = ByteBucketVocab()
     qa_items = _train_items(out_dir)
     contexts = build_reward_contexts(qa_items, qa_items, provider,
                                      gc["centroid_sample"], cfg["seed"])
@@ -468,8 +463,8 @@ def cmd_train(cfg: dict, stage: str) -> int:
     if stage == "cpt":
         kind = cfg["cpt"]["optimizer"]
         if kind == "both":
-            _, losses_a = _run_cpt(cfg, "adamw", out_dir)
-            _, losses_m = _run_cpt(cfg, "muon", out_dir)
+            losses_a = _run_cpt(cfg, "adamw", out_dir)
+            losses_m = _run_cpt(cfg, "muon", out_dir)
             rows = [{"step": i + 1,
                      "loss_adamw": a, "loss_muon": m}
                     for i, (a, m) in enumerate(zip(losses_a, losses_m))]
@@ -477,14 +472,11 @@ def cmd_train(cfg: dict, stage: str) -> int:
                                       ["step", "loss_adamw", "loss_muon"])
         else:
             _run_cpt(cfg, kind, out_dir)
-        return 0
-    if stage == "sft":
+    elif stage == "sft":
         _run_sft(cfg, out_dir)
-        return 0
-    if stage == "grpo":
+    else:  # argparse's choices leave grpo
         _run_grpo(cfg, out_dir)
-        return 0
-    raise ConfigError(f"unknown training stage: {stage!r}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -500,13 +492,8 @@ def cmd_score(cfg: dict, generations_file: str) -> int:
     echo_config(cfg, out_dir)
     gen_path = _require_path(generations_file, "generations file")
     train_items = _train_items(out_dir)
-    qa_items = {}
-    for split in dataprep.SPLIT_NAMES:
-        split_path = out_dir / f"{split}.jsonl"
-        if split_path.exists():
-            for row in dataprep.read_jsonl(split_path):
-                item = dataprep.qa_item_from_dict(row)
-                qa_items[item.item_id] = item
+    qa_items = {item.item_id: item for split in dataprep.SPLIT_NAMES
+                for item in _split_items(out_dir, split)}
     _, reward_cfg, _ = grpo_settings(cfg)
     reward_cfg = replace(reward_cfg, enabled=reward_cfg.enabled - {"judge"})
     contexts = build_reward_contexts(list(qa_items.values()), train_items, provider,
@@ -539,43 +526,23 @@ def cmd_arena(cfg: dict) -> int:
     items_path = _require_path(ac["items_file"], "arena.items_file")
     models_dir = _require_path(ac["models_dir"], "arena.models_dir")
     items = dataprep.read_jsonl(items_path)
-    if not items:
-        raise ConfigError(f"no items in {items_path}")
 
     models: dict[str, dict[str, str]] = {}
-    answers: dict[str, dict[str, str]] = {}
+    answers: dict[str, dict[str, TaggedOutput]] = {}
     for model_file in sorted(models_dir.glob("*.jsonl")):
         name = model_file.stem
         rows = dataprep.read_jsonl(model_file)
-        models[name] = {str(r["item_id"]): r["explanation"] for r in rows}
-        answers[name] = {str(r["item_id"]): r.get("answer", "") for r in rows}
-    if len(models) < 2:
-        raise ConfigError(f"arena needs >= 2 model files in {models_dir}")
-    for name, explanations in models.items():
-        for item in items:
-            if str(item["item_id"]) not in explanations:
-                raise ConfigError(
-                    f"model {name!r} has no explanation for item "
-                    f"{item['item_id']!r}")
-
-    judge_specs = ac["judges"]
-    base_judge_cfg = None
-    if any(s.startswith("http") for s in judge_specs):
-        base_judge_cfg = judge_endpoint(cfg, url=judge_specs[0])
-    judges = [make_judge(s, base_judge_cfg) for s in judge_specs]
-
+        models[name] = {str(r["item_id"]): r.get("explanation") for r in rows}
+        answers[name] = {str(r["item_id"]): TaggedOutput(risposta=r.get("answer", ""))
+                         for r in rows}
     gold = {str(it["item_id"]): it["answer"] for it in items if "answer" in it}
-    accuracies = {}
-    for name in models:
-        if gold:
-            outputs = {iid: f"<risposta>{answers[name].get(iid, '')}</risposta>"
-                       for iid in gold}
-            accuracies[name] = arena_mod.evaluate_accuracy(outputs, gold)
-
-    report = arena_mod.run_tournament(models, items, judges,
-                                      k=ac["k_factor"], seed=cfg["seed"],
-                                      both_orders=ac["both_orders"],
-                                      accuracies=accuracies)
+    accuracies = {name: arena_mod.evaluate_accuracy(answers[name], gold)
+                  for name in models} if gold else {}
+    judges = [make_judge(spec, judge_endpoint(cfg, url=spec)) for spec in ac["judges"]]
+    # run_tournament checks the models, the items and their coverage
+    report = _build("keys arena.items_file, arena.models_dir", arena_mod.run_tournament,
+                    models, items, judges, k=ac["k_factor"], seed=cfg["seed"],
+                    both_orders=ac["both_orders"], accuracies=accuracies)
     ratings_rows = []
     for jname, table in report.tables.items():
         for model in sorted(table.ratings):
@@ -723,9 +690,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_arena(cfg)
         if args.command == "report":
             return cmd_report(cfg)
-        if args.command == "synth":
-            return cmd_synth(cfg, args.chars, args.items)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_synth(cfg, args.chars, args.items)  # argparse's choices leave synth
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

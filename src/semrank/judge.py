@@ -256,7 +256,3 @@ def make_judge(spec: str, cfg: JudgeEndpointConfig | None = None) -> JudgeClient
         base = cfg or JudgeEndpointConfig.from_env(url=spec)
         return HttpJudgeClient(replace(base, url=spec))
     raise ValueError(f"unknown judge spec: {spec!r}")
-
-
-def judge_name(client: JudgeClient) -> str:
-    return client.name

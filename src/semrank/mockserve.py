@@ -146,16 +146,6 @@ class StubServer:
         self.stop()
 
 
-def serve_embed(behavior: StubBehavior, port: int = 0) -> StubServer:
-    """Stub implementing the /embed wire contract. Returns it running."""
-    return StubServer("embed", behavior, port).start()
-
-
-def serve_judge(behavior: StubBehavior, port: int = 0) -> StubServer:
-    """Stub implementing the judge wire contract. Returns it running."""
-    return StubServer("judge", behavior, port).start()
-
-
 def run_forever(server: StubServer) -> None:
     """Serve an unstarted stub until interrupted, for the CLI's serve
     subcommand."""

@@ -9,11 +9,12 @@ import pytest
 from semrank import cli
 from semrank._http import post_json
 from semrank.arena import AGGREGATE_COLUMNS, RATINGS_COLUMNS
-from semrank.cli import (SCORE_COLUMNS, _provider, build_parser, judge_endpoint,
-                         load_config, main, serve_stub)
+from semrank.cli import (SCORE_COLUMNS, STAGE_COLUMNS, _provider, build_parser,
+                         judge_endpoint, load_config, main, serve_stub)
 from semrank.dataprep import read_jsonl
 from semrank.embedder import RemoteEncoder
 from semrank.judge import build_score_prompt
+from semrank.optim import lr_at
 from semrank.trainer import METRICS_COLUMNS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -122,6 +123,21 @@ class TestTrain:
         assert (out / "cpt_muon" / "metrics.csv").exists()
         header = (out / "cpt_ablation.csv").read_text().splitlines()[0]
         assert header == "step,loss_adamw,loss_muon"
+
+    def test_stage_lr_is_each_epochs_last_step_rate(self, prepared, tmp_path):
+        _, out = prepared
+        cfg = write_config(tmp_path, cpt={"epochs": 3})
+        assert main(["train", "cpt", "--config", str(cfg)]) == 0
+        sc = load_config(str(cfg))["cpt"]
+        n_sequences = sum(-(-len(row["tokens"]) // sc["seq_len"])
+                          for row in read_jsonl(out / "corpus_chunks.jsonl"))
+        schedule, _ = cli._schedule_and_optimizer(sc, n_sequences, "adamw")
+        steps_per_epoch = schedule.total_steps // 3
+        with open(out / "cpt_adamw" / "metrics.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [float(r["lr"]) for r in rows] == [
+            lr_at(schedule, (e + 1) * steps_per_epoch - 1) for e in range(3)]
+        assert 0 < float(rows[-1]["lr"]) < float(rows[0]["lr"])
 
     def test_grpo_steps_zero_checkpoint_byte_identical(self, prepared):
         cfg, out = prepared
@@ -437,6 +453,42 @@ def arena_inputs(tmp_path):
     return {"items_file": str(items_path), "models_dir": str(models_dir)}
 
 
+def arena_with_last_row(tmp_path, row):
+    """arena_inputs with the last row of model conciso (item i2) replaced."""
+    inputs = arena_inputs(tmp_path)
+    model_file = Path(inputs["models_dir"]) / "conciso.jsonl"
+    rows = [*read_jsonl(model_file)[:-1], row]
+    model_file.write_text("\n".join(json.dumps(r) for r in rows))
+    return {"arena": inputs}
+
+
+@pytest.mark.parametrize("overrides,commands,names", [
+    (lambda tmp: {"dataprep": {"ratios": [0, 0.5, 0.5]}},
+     ["prepare", "train cpt", "train sft"], ["train.jsonl"]),
+    # synth's output directory holds no .txt file of its own
+    (lambda tmp: {"dataprep": {"corpus_dir": str(tmp / "data")}},
+     ["prepare", "train cpt"], ["corpus_chunks.jsonl", "dataprep.corpus_dir"]),
+    # write_config's hidden_dim is 16
+    (lambda tmp: {"grpo": {"lora_rank": 32}},
+     ["prepare", "train cpt", "train sft", "train grpo"], ["grpo.lora_rank"]),
+    (lambda tmp: arena_with_last_row(tmp, {"item_id": "i2", "explanation": ""}),
+     ["arena"], ["arena.models_dir", "conciso", "i2"]),
+    (lambda tmp: arena_with_last_row(tmp, {"item_id": "i2", "answer": "a"}),
+     ["arena"], ["arena.models_dir", "conciso", "i2"]),
+], ids=["empty-train-split", "corpus-without-tokens", "lora-rank-above-checkpoint",
+        "empty-arena-explanation", "arena-row-without-explanation"])
+def test_bad_input_exit_2_naming_it(tmp_path, capsys, overrides, commands, names):
+    synth_inputs(tmp_path)
+    cfg = write_config(tmp_path, **overrides(tmp_path))
+    *before, last = commands
+    for command in before:
+        assert main([*command.split(), "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main([*last.split(), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in names) and "Traceback" not in err, err
+
+
 class TestFlagsAreConfig:
     """A flag's value lands in the config, so the echo reproduces the run."""
 
@@ -586,6 +638,7 @@ def readme_columns(label: str) -> list[str]:
     ("Rewards CSV", SCORE_COLUMNS),
     ("`ratings.csv` =", RATINGS_COLUMNS),
     ("`aggregate.csv` =", AGGREGATE_COLUMNS),
+    ("CPT/SFT metrics are", STAGE_COLUMNS),
 ])
 def test_readme_lists_the_written_columns(label, columns):
     assert readme_columns(label) == list(columns)

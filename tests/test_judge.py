@@ -3,7 +3,7 @@ import pytest
 from semrank.errors import JudgeServiceError
 from semrank.judge import (HttpJudgeClient, JudgeEndpointConfig, MockJudge,
                            build_pair_prompt, build_score_prompt, extract_section,
-                           judge_name, judge_reply, make_judge,
+                           judge_reply, make_judge,
                            parse_score_reply, parse_verdict_reply)
 from semrank.mockserve import StubBehavior, StubServer
 
@@ -80,7 +80,7 @@ class TestMockJudgeRules:
 
     def test_mock_judge_is_named(self):
         judge = MockJudge("prefer-longer")
-        assert judge_name(judge) == "mock:prefer-longer"
+        assert judge.name == "mock:prefer-longer"
 
 
 class TestHttpJudgeClient:
@@ -105,7 +105,7 @@ class TestHttpJudgeClient:
     def test_named_by_url(self):
         url = "http://127.0.0.1:1/v1/chat/completions"
         client = make_judge(url, JudgeEndpointConfig(url="ignored", model="m"))
-        assert judge_name(client) == url
+        assert client.name == url
 
     def test_make_judge_specs(self):
         assert isinstance(make_judge("mock:prefer-longer"), MockJudge)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from semrank.embedder import embed_toy
-from semrank.mockserve import StubBehavior, StubServer, serve_embed, serve_judge
+from semrank.mockserve import StubBehavior, StubServer
 
 
 def post_json(url, payload):
@@ -19,7 +19,7 @@ def post_json(url, payload):
 
 class TestEmbedStub:
     def test_vectors_equal_local_toy_embedder(self):
-        server = serve_embed(StubBehavior(mode="toy-embed", dim=32))
+        server = StubServer("embed", StubBehavior(mode="toy-embed", dim=32)).start()
         try:
             reply = post_json(f"{server.base_url}/embed",
                               {"texts": ["la cellula", "il nucleo"]})
@@ -61,7 +61,7 @@ class TestJudgeStub:
                                "messages": [{"role": "user", "content": prompt}]})
 
     def test_fixed_score_seven(self):
-        server = serve_judge(StubBehavior(mode="fixed-score:7"))
+        server = StubServer("judge", StubBehavior(mode="fixed-score:7")).start()
         try:
             reply = self.chat(server.judge_url, "qualunque rubrica")
             assert reply["choices"][0]["message"]["content"] == "7"

@@ -1,5 +1,5 @@
-"""Every public top-level function and class in src/semrank is reached by
-the program: some other part of src/semrank, or the benchmark in
+"""Every top-level function and class in src/semrank, private ones too, is
+reached by the program: some other part of src/semrank, or the benchmark in
 perfbench/, names it. Code only the tests call is deleted, unless it is
 listed below with the test that needs it."""
 
@@ -16,8 +16,6 @@ TEST_ONLY = {
     "policy.forward_logits": "the single-context reference (test_policy)",
     "dataprep.shingle_jaccard": "the dedup oracle (test_dataprep)",
     "trainer.sft_loss": "the loss measurement (test_trainer)",
-    "mockserve.serve_embed": "a test convenience (test_mockserve)",
-    "mockserve.serve_judge": "a test convenience (test_mockserve)",
 }
 
 # a string naming a program object, as perfbench's wrap points do
@@ -43,8 +41,8 @@ def _names(node: ast.AST) -> set[str]:
 
 
 def _unreferenced() -> set[str]:
-    """module.name of each public top-level def or class that no top-level
-    statement but its own definition refers to."""
+    """module.name of each top-level def or class that no top-level statement
+    but its own definition refers to."""
     statements = []  # (path, top-level statement, the names it refers to)
     for path in PROGRAM + BENCHMARK:
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -53,8 +51,6 @@ def _unreferenced() -> set[str]:
     for path, stmt, _ in statements:
         if path not in PROGRAM or not isinstance(
                 stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        if stmt.name.startswith("_"):
             continue
         if not any(stmt.name in names for _, other, names in statements
                    if other is not stmt):
