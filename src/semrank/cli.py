@@ -243,6 +243,20 @@ def _require_path(value, what: str) -> Path:
     return p
 
 
+def _rows(path: Path, what: str, required: tuple[str, ...]) -> list[dict]:
+    """The rows of a JSON-lines input file; a row that is not an object, or
+    lacks a required field, raises ConfigError naming what, the file and the
+    row's index."""
+    rows = dataprep.read_jsonl(path)
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ConfigError(f"{what} {path}: row {i} is not an object")
+        missing = [key for key in required if key not in row]
+        if missing:
+            raise ConfigError(f"{what} {path}: row {i} has no {', '.join(missing)}")
+    return rows
+
+
 def _provider(cfg: dict):
     """The embedder section's provider; a remote one takes its URL (else
     SEMRANK_EMBED_URL) and SEMRANK_EMBED_TOKEN, and without a URL raises
@@ -273,6 +287,8 @@ def cmd_prepare(cfg: dict) -> int:
     dp = cfg["dataprep"]
     corpus_dir = _require_path(dp["corpus_dir"], "dataprep.corpus_dir")
     qa_file = _require_path(dp["qa_file"], "dataprep.qa_file")
+    raw_items = [dataprep.qa_item_from_dict(row, i) for i, row in enumerate(
+        _rows(qa_file, "dataprep.qa_file", ("question", "answer")))]
     echo_config(cfg, out_dir)
     vocab = ByteBucketVocab()
 
@@ -288,8 +304,6 @@ def cmd_prepare(cfg: dict) -> int:
             chunk_rows.append(dataprep.chunk_to_dict(chunk))
     dataprep.write_jsonl(out_dir / "corpus_chunks.jsonl", chunk_rows)
 
-    raw_items = [dataprep.qa_item_from_dict(row, i)
-                 for i, row in enumerate(dataprep.read_jsonl(qa_file))]
     kept, rejected = dataprep.filter_items(raw_items)
     trainer.write_metrics_csv(out_dir / "rejections.csv",
                               [asdict(r) for r in rejected], ["item_id", "reason"])
@@ -525,13 +539,13 @@ def cmd_arena(cfg: dict) -> int:
     ac = cfg["arena"]
     items_path = _require_path(ac["items_file"], "arena.items_file")
     models_dir = _require_path(ac["models_dir"], "arena.models_dir")
-    items = dataprep.read_jsonl(items_path)
+    items = _rows(items_path, "arena.items_file", ("item_id",))
 
     models: dict[str, dict[str, str]] = {}
     answers: dict[str, dict[str, TaggedOutput]] = {}
     for model_file in sorted(models_dir.glob("*.jsonl")):
         name = model_file.stem
-        rows = dataprep.read_jsonl(model_file)
+        rows = _rows(model_file, "arena.models_dir", ("item_id",))
         models[name] = {str(r["item_id"]): r.get("explanation") for r in rows}
         answers[name] = {str(r["item_id"]): TaggedOutput(risposta=r.get("answer", ""))
                          for r in rows}

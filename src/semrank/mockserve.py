@@ -10,6 +10,7 @@ responses are pure functions of (mode, request body).
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -39,7 +40,14 @@ def _check_mode(kind: str, mode: str) -> None:
 class _StubHandler(BaseHTTPRequestHandler):
     behavior: StubBehavior
     kind: str  # "embed" or "judge"
-    stats: dict
+    # Keep-alive: one connection, and one handler thread, serves a client's
+    # posts until either side closes it.
+    protocol_version = "HTTP/1.1"
+    # A reply goes out in two sends, headers then body. With Nagle's
+    # algorithm on, the body waits for the ACK of the headers, which the
+    # client holds back (delayed ACK): on a kept-alive connection every
+    # post then stalls for tens of milliseconds.
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):  # silence per-request stderr noise
         pass
@@ -57,9 +65,10 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def do_POST(self):
+        stats = self.server.stats
         with self.server.stats_lock:
-            self.stats["requests"] += 1
-            self.stats["auth_headers"].append(self.headers.get("Authorization"))
+            stats["requests"] += 1
+            stats["auth_headers"].append(self.headers.get("Authorization"))
         try:
             payload = self._read_json()
         except (ValueError, KeyError):
@@ -76,7 +85,7 @@ class _StubHandler(BaseHTTPRequestHandler):
                 self._send(400, {"error": "texts must be a list"})
                 return
             with self.server.stats_lock:
-                self.stats["batch_sizes"].append(len(texts))
+                stats["batch_sizes"].append(len(texts))
             vectors = [embed_toy(t, behavior.dim).tolist() for t in texts]
             self._send(200, {"embeddings": vectors, "dim": behavior.dim})
             return
@@ -95,12 +104,46 @@ class _StubHandler(BaseHTTPRequestHandler):
         })
 
 
+class _StubHTTPServer(ThreadingHTTPServer):
+    """Counts the connections it accepts and tracks the open ones, so that
+    close_connections() can end those a client keeps alive."""
+
+    def __init__(self, address, handler, stats: dict):
+        super().__init__(address, handler)
+        self.stats = stats
+        self.stats_lock = threading.Lock()
+        self._open: set[socket.socket] = set()
+
+    def process_request(self, request, client_address):
+        with self.stats_lock:
+            self.stats["connections"] += 1
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self.stats_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """Shut down every open connection; its handler thread then reads
+        EOF, closes the socket and exits. Holding the lock keeps a handler
+        from closing a socket while it is being shut down."""
+        with self.stats_lock:
+            for sock in self._open:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:  # the peer has already gone
+                    pass
+
+
 class StubServer:
     """A stub on 127.0.0.1, serving once started; use as a context manager
     in tests.
 
     A kind or mode it does not serve raises ValueError before the port is
-    bound. stats counts requests and records per-request batch sizes.
+    bound. stats counts requests and accepted connections, and records
+    per-request batch sizes and Authorization headers.
     """
 
     def __init__(self, kind: str, behavior: StubBehavior, port: int = 0):
@@ -109,11 +152,11 @@ class StubServer:
         _check_mode(kind, behavior.mode)
         self.kind = kind
         self.behavior = behavior
-        self.stats = {"requests": 0, "batch_sizes": [], "auth_headers": []}
+        self.stats = {"requests": 0, "connections": 0, "batch_sizes": [],
+                      "auth_headers": []}
         handler = type("Handler", (_StubHandler,), {
-            "behavior": behavior, "kind": kind, "stats": self.stats})
-        self._server = ThreadingHTTPServer(("127.0.0.1", port), handler)
-        self._server.stats_lock = threading.Lock()
+            "behavior": behavior, "kind": kind})
+        self._server = _StubHTTPServer(("127.0.0.1", port), handler, self.stats)
         self._thread = threading.Thread(target=self._server.serve_forever,
                                         daemon=True)
 
@@ -134,9 +177,11 @@ class StubServer:
         return self
 
     def stop(self) -> None:
-        """Stop the serving loop if start() began one, and free the port."""
+        """Stop the serving loop if start() began one, close the connections
+        clients kept alive, and free the port."""
         if self._thread.is_alive():
             self._server.shutdown()
+        self._server.close_connections()
         self._server.server_close()
 
     def __enter__(self) -> "StubServer":

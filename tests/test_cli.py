@@ -462,6 +462,22 @@ def arena_with_last_row(tmp_path, row):
     return {"arena": inputs}
 
 
+def arena_with_last_item(tmp_path, row):
+    """arena_inputs with the last items-file row (item i2) replaced."""
+    inputs = arena_inputs(tmp_path)
+    items_path = Path(inputs["items_file"])
+    rows = [*read_jsonl(items_path)[:-1], row]
+    items_path.write_text("\n".join(json.dumps(r) for r in rows))
+    return {"arena": inputs}
+
+
+def qa_with_first_row(tmp_path, row):
+    """The synthesized QA file with row as its first row; no overrides."""
+    qa_path = tmp_path / "data" / "qa.jsonl"
+    qa_path.write_text(json.dumps(row) + "\n" + qa_path.read_text())
+    return {}
+
+
 @pytest.mark.parametrize("overrides,commands,names", [
     (lambda tmp: {"dataprep": {"ratios": [0, 0.5, 0.5]}},
      ["prepare", "train cpt", "train sft"], ["train.jsonl"]),
@@ -475,8 +491,16 @@ def arena_with_last_row(tmp_path, row):
      ["arena"], ["arena.models_dir", "conciso", "i2"]),
     (lambda tmp: arena_with_last_row(tmp, {"item_id": "i2", "answer": "a"}),
      ["arena"], ["arena.models_dir", "conciso", "i2"]),
+    (lambda tmp: arena_with_last_row(tmp, {"explanation": "x"}),
+     ["arena"], ["arena.models_dir", "conciso", "row 2", "item_id"]),
+    (lambda tmp: arena_with_last_item(tmp, {"question": "q?"}),
+     ["arena"], ["arena.items_file", "items.jsonl", "row 2", "item_id"]),
+    (lambda tmp: qa_with_first_row(tmp, {"question": "q?"}),
+     ["prepare"], ["dataprep.qa_file", "qa.jsonl", "row 0", "answer"]),
 ], ids=["empty-train-split", "corpus-without-tokens", "lora-rank-above-checkpoint",
-        "empty-arena-explanation", "arena-row-without-explanation"])
+        "empty-arena-explanation", "arena-row-without-explanation",
+        "arena-row-without-item-id", "arena-item-without-item-id",
+        "qa-row-without-answer"])
 def test_bad_input_exit_2_naming_it(tmp_path, capsys, overrides, commands, names):
     synth_inputs(tmp_path)
     cfg = write_config(tmp_path, **overrides(tmp_path))

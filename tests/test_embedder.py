@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from semrank.embedder import (EncoderEndpointConfig, RemoteEncoder, ToyEmbedder,
                               cosine, embed_toy, fnv1a_64, reference_centroid,
                               sample_reference_texts)
+from semrank._http import HttpTransportError
 from semrank.errors import DegenerateVectorError, EmbeddingServiceError
 from semrank.mockserve import StubBehavior, StubServer
 
@@ -177,6 +178,26 @@ class TestRemoteEncoder:
             with pytest.raises(EmbeddingServiceError):
                 client.embed(["x"])
             assert stub.stats["requests"] == 3  # initial + 2 retries
+
+    def test_embeds_share_one_connection(self):
+        with StubServer("embed", StubBehavior(mode="toy-embed", dim=16)) as stub:
+            client = RemoteEncoder(EncoderEndpointConfig(base_url=stub.base_url))
+            for k in range(10):
+                client.embed([f"testo {k}"])
+            assert stub.stats["requests"] == 10
+            assert stub.stats["connections"] == 1
+
+    def test_stopped_stub_answers_nothing(self):
+        stub = StubServer("embed", StubBehavior(mode="toy-embed", dim=16)).start()
+        cfg = EncoderEndpointConfig(base_url=stub.base_url, max_retries=0)
+        client = RemoteEncoder(cfg)
+        try:
+            client.embed(["prima"])  # leaves its connection open
+        finally:
+            stub.stop()
+        with pytest.raises(EmbeddingServiceError) as excinfo:
+            client.embed(["dopo"])
+        assert isinstance(excinfo.value.__cause__, HttpTransportError)
 
     def test_transport_failure_distinct(self):
         cfg = EncoderEndpointConfig(base_url="http://127.0.0.1:9",  # discard port

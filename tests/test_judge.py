@@ -89,6 +89,13 @@ class TestHttpJudgeClient:
             client = HttpJudgeClient(JudgeEndpointConfig(url=stub.judge_url))
             assert client.complete(build_score_prompt("a", "b")) == "9"
 
+    def test_completions_share_one_connection(self):
+        with StubServer("judge", StubBehavior(mode="fixed-score:9")) as stub:
+            client = HttpJudgeClient(JudgeEndpointConfig(url=stub.judge_url))
+            assert [client.complete(f"ciao {k}") for k in range(10)] == ["9"] * 10
+            assert stub.stats["requests"] == 10
+            assert stub.stats["connections"] == 1
+
     def test_pairwise_through_stub(self):
         with StubServer("judge", StubBehavior(mode="prefer-longer")) as stub:
             client = HttpJudgeClient(JudgeEndpointConfig(url=stub.judge_url))

@@ -5,6 +5,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from semrank import _http
 from semrank.embedder import embed_toy
 from semrank.mockserve import StubBehavior, StubServer
 
@@ -103,3 +104,30 @@ class TestLifecycle:
         assert not stopper.is_alive(), "stop() on an unstarted stub blocked"
         with StubServer("embed", StubBehavior(), port=port) as again:
             assert again.port == port
+
+    def test_stale_kept_alive_connection_reconnects_once(self):
+        with StubServer("embed", StubBehavior()) as first:
+            port, url = first.port, f"{first.base_url}/embed"
+            _http.post_json(url, {"texts": ["x"]}, timeout=5)
+        # stop() closed the connection the client keeps for this port
+        with StubServer("embed", StubBehavior(), port=port) as second:
+            reply = _http.post_json(url, {"texts": ["y"]}, timeout=5)
+            assert len(reply["embeddings"]) == 1
+            assert second.stats["requests"] == 1
+            assert second.stats["connections"] == 1
+
+    def test_connections_to_stopped_stubs_are_dropped(self):
+        pool_sizes = []
+
+        def three_stubs_in_turn():  # in a thread of its own: a fresh pool
+            for text in ("a", "b", "c"):
+                with StubServer("embed", StubBehavior()) as stub:
+                    _http.post_json(f"{stub.base_url}/embed", {"texts": [text]},
+                                    timeout=5)
+                    pool_sizes.append(len(_http._connections.pool))
+
+        worker = threading.Thread(target=three_stubs_in_turn)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert pool_sizes == [1, 1, 1]
