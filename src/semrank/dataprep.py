@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import html
 import json
+import math
 import re
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -116,7 +117,7 @@ def _shingles(tokens: list[str]) -> set[tuple[str, ...]]:
     k = SHINGLE_SIZE
     if len(tokens) < k:
         return {tuple(tokens)} if tokens else set()
-    return {tuple(tokens[i:i + k]) for i in range(len(tokens) - k + 1)}
+    return set(zip(*(tokens[i:] for i in range(k))))
 
 
 def shingle_jaccard(a: str, b: str) -> float:
@@ -130,39 +131,66 @@ def shingle_jaccard(a: str, b: str) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
+def _near_duplicate(a: set, b: set, threshold: float) -> bool:
+    """Shingle Jaccard of two non-empty sets >= threshold, in float."""
+    size, other_size = len(a), len(b)
+    # Jaccard >= t needs |A|/|B| and |B|/|A| >= t: cheap prefilter
+    if min(size, other_size) < threshold * max(size, other_size):
+        return False
+    common = len(a & b)
+    return common / (size + other_size - common) >= threshold
+
+
 def dedup_paragraphs(paragraphs: Sequence[str],
                      threshold: float = NEAR_DUP_THRESHOLD) -> list[str]:
     """Keep first occurrences; drop exact matches (normalized) and
     near-duplicates whose shingle Jaccard with an earlier survivor is
-    >= threshold, which must be in (0, 1]."""
+    >= threshold, which must be in (0, 1].
+
+    The near-duplicate search is an exact prefix-filter join (Bayardo, Ma
+    & Srikant, 2007). If sets A and B share c shingles and
+    c / |A ∪ B| >= t, then c >= ceil(t·|X|) for X in {A, B}. Under one
+    total order of shingles (tuple order), A's smallest
+    |A| - ceil(t·|A|) + 1 shingles then meet B's smallest
+    |B| - ceil(t·|B|) + 1: the least shared shingle lies in both. Each
+    survivor is indexed by its prefix, a paragraph is compared only with
+    the survivors its own prefix meets, and the prefix carries one shingle
+    of slack so that float rounding in the test cannot drop a pair. The
+    test itself is the quadratic scan's, so the survivors are exactly
+    those of comparing every pair. An empty shingle set duplicates an
+    earlier empty survivor and nothing else.
+    """
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     survivors: list[str] = []
     survivor_shingles: list[set] = []
-    survivor_sizes: list[int] = []
+    prefix_index: dict[tuple[str, ...], list[int]] = {}
     seen_exact: set[str] = set()
+    empty_survivor = False
     for para in paragraphs:
         norm = " ".join(para.split()).casefold()
         if norm in seen_exact:
             continue
         shingles = _shingles(word_tokenize(para))
         size = len(shingles)
-        dup = False
-        for other, other_size in zip(survivor_shingles, survivor_sizes):
-            # Jaccard >= t needs |A|/|B| and |B|/|A| >= t: cheap prefilter
-            if size and other_size and min(size, other_size) < threshold * max(size, other_size):
+        if size == 0:
+            if empty_survivor:
                 continue
-            common = len(shingles & other)
-            union = size + other_size - common
-            if union == 0 or common / union >= threshold:
-                dup = True
-                break
-        if dup:
-            continue
+            empty_survivor = True
+            prefix = []
+        else:
+            # min overlap ceil(t·size), less one shingle of slack, and at least 1
+            min_common = max(1, math.ceil(threshold * size) - 1)
+            prefix = sorted(shingles)[:size - min_common + 1]
+            candidates = {j for s in prefix for j in prefix_index.get(s, ())}
+            if any(_near_duplicate(shingles, survivor_shingles[j], threshold)
+                   for j in candidates):
+                continue
         seen_exact.add(norm)
+        for s in prefix:
+            prefix_index.setdefault(s, []).append(len(survivors))
         survivors.append(para)
         survivor_shingles.append(shingles)
-        survivor_sizes.append(size)
     return survivors
 
 

@@ -497,7 +497,8 @@ def save_checkpoint(params: PolicyParams, path, extra: dict | None = None) -> No
 
 def load_checkpoint(path) -> tuple[PolicyParams, dict]:
     """Returns (params, extra metadata dict). A file that is not exactly one
-    checkpoint whose tensors fit each other raises CheckpointError."""
+    checkpoint whose tensors fit each other, or whose tensors hold a NaN or
+    Inf, raises CheckpointError."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -505,10 +506,14 @@ def load_checkpoint(path) -> tuple[PolicyParams, dict]:
     if not data.startswith(CKPT_MAGIC):
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
     try:
-        return _parse_checkpoint(data)
+        params, extra = _parse_checkpoint(data)
     except (ValueError, KeyError, TypeError, struct.error) as exc:
         raise CheckpointError(
             f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from exc
+    for name, tensor in params.tensors().items():
+        if not np.isfinite(tensor).all():
+            raise CheckpointError(f"{path}: tensor {name} holds a NaN or Inf")
+    return params, extra
 
 
 def _parse_checkpoint(data: bytes) -> tuple[PolicyParams, dict]:

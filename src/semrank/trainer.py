@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -47,6 +48,11 @@ class GrpoNaNError(SemrankError):
         self.step = step
         self.prompt_index = prompt_index
         self.rewards = rewards
+
+
+class LmNaNError(SemrankError):
+    """A CPT or SFT batch loss went non-finite; the message names the epoch
+    and the batch, each counted from 1 as metrics.csv counts epochs."""
 
 
 @dataclass(frozen=True)
@@ -341,16 +347,18 @@ def _train_lm(pairs: list[tuple[Sequence[int], Sequence[int]]],
     rng = np.random.default_rng(seed)
     step = 0
     epoch_losses: list[float] = []
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         order = rng.permutation(len(pairs))
         losses = []
-        for start in range(0, len(order), batch_size):
+        for batch, start in enumerate(range(0, len(order), batch_size), start=1):
             windows, targets, weights = _stack_pairs(
                 params, [pairs[i] for i in order[start:start + batch_size]])
             logp, grad_of = policy.token_forward(params, windows, targets)
+            losses.append(float(-(weights @ logp)))
+            if not math.isfinite(losses[-1]):
+                raise LmNaNError(f"non-finite loss at epoch {epoch}, batch {batch}")
             optimizer_step(optimizer, params.trainable(), grad_of(-weights),
                            lr=lr_at(schedule, step))
-            losses.append(float(-(weights @ logp)))
             step += 1
         epoch_losses.append(float(np.mean(losses)))
     return params, epoch_losses

@@ -16,7 +16,8 @@ from conftest import record_acceptance
 from semrank import policy, synthdata, trainer
 from semrank.arena import elo_update, run_tournament
 from semrank.cli import main as cli_main
-from semrank.dataprep import chunk_tokens, dedup_paragraphs, stratified_split
+from semrank.dataprep import (chunk_tokens, dedup_paragraphs, read_jsonl,
+                              stratified_split)
 from semrank.embedder import ToyEmbedder, reference_centroid
 from semrank.judge import MockJudge
 from semrank.mockserve import StubBehavior, StubServer
@@ -367,8 +368,8 @@ def test_criterion_7_muon_ablation(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
     assert cli_main(["prepare", "--config", str(cfg_path)]) == 0
-    total_tokens = sum(len(row["tokens"]) for row in
-                       map(json.loads, open(out_dir / "corpus_chunks.jsonl")))
+    total_tokens = sum(len(row["tokens"])
+                       for row in read_jsonl(out_dir / "corpus_chunks.jsonl"))
     assert total_tokens >= 50_000
     assert cli_main(["train", "cpt", "--config", str(cfg_path),
                      "--optimizer", "both"]) == 0

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from semrank.dataprep import read_jsonl
 from semrank.embedder import RemoteEncoder
 from semrank.judge import build_score_prompt
 from semrank.optim import lr_at
+from semrank.policy import load_checkpoint, save_checkpoint
 from semrank.trainer import METRICS_COLUMNS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -66,7 +68,8 @@ class TestPrepare:
                   for name in ("train", "dev", "test")}
         kept = sum(len(v) for v in splits.values())
         raw = read_jsonl(tmp_path / "data" / "qa.jsonl")
-        rejected = sum(1 for _ in open(out / "rejections.csv")) - 1
+        with open(out / "rejections.csv") as f:
+            rejected = sum(1 for _ in f) - 1
         assert kept + rejected == len(raw)
         assert rejected >= 2  # synth injects image + brief rejects
         assert (out / "corpus_chunks.jsonl").exists()
@@ -114,6 +117,32 @@ class TestTrain:
     def test_sft_without_cpt_checkpoint_exit_2(self, prepared):
         cfg, out = prepared
         assert main(["train", "sft", "--config", str(cfg)]) == 2
+
+    def test_sft_from_non_finite_checkpoint_exit_1(self, prepared, tmp_path,
+                                                   capsys):
+        cfg, out = prepared
+        assert main(["train", "cpt", "--config", str(cfg)]) == 0
+        params, _ = load_checkpoint(out / "cpt_adamw" / "final.ckpt")
+        params.E[0, 0] = float("nan")
+        bad = tmp_path / "nan.ckpt"
+        save_checkpoint(params, bad)
+        cfg = write_config(tmp_path, sft={"init_checkpoint": str(bad)})
+        capsys.readouterr()
+        assert main(["train", "sft", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"runtime error: {bad}: tensor E holds a NaN or Inf"]
+        assert not (out / "sft" / "final.ckpt").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
+    def test_cpt_non_finite_loss_exit_1(self, prepared, tmp_path, capsys):
+        _, out = prepared
+        # a step this large overflows the weights, so a later batch's loss is NaN
+        cfg = write_config(tmp_path, cpt={"lr": 1e300})
+        capsys.readouterr()
+        assert main(["train", "cpt", "--config", str(cfg)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(r"runtime error: non-finite loss at epoch 1, batch \d+", line)
+        assert not (out / "cpt_adamw" / "final.ckpt").exists()
 
     def test_optimizer_both_emits_ablation_csv(self, prepared):
         cfg, out = prepared

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semrank.dataprep import (BRIEF_RATIONALE_CHARS, CorpusChunk, QaItem,
-                              chunk_tokens, clean_text, dedup_paragraphs,
+from semrank.dataprep import (BRIEF_RATIONALE_CHARS, SHINGLE_SIZE, CorpusChunk,
+                              QaItem, chunk_tokens, clean_text, dedup_paragraphs,
                               filter_items, qa_item_from_dict, qa_item_to_dict,
                               read_jsonl, shingle_jaccard, split_paragraphs,
                               stratified_split, to_instruction, write_jsonl)
 from semrank.text_protocol import parse_tagged
+from semrank.tokenizers import word_tokenize
 
 
 def make_item(i=0, subject="biologia", difficulty=1, rationale=None,
@@ -105,6 +106,86 @@ class TestDedup:
     def test_threshold_outside_unit_interval_rejected(self, threshold):
         with pytest.raises(ValueError, match="threshold"):
             dedup_paragraphs([self.para(10)], threshold=threshold)
+
+
+def quadratic_dedup(paragraphs, threshold):
+    """Reference: compare each paragraph with every earlier survivor."""
+    k = SHINGLE_SIZE
+    survivors, survivor_shingles, seen_exact = [], [], set()
+    for para in paragraphs:
+        norm = " ".join(para.split()).casefold()
+        if norm in seen_exact:
+            continue
+        tokens = word_tokenize(para)
+        if len(tokens) < k:
+            shingles = {tuple(tokens)} if tokens else set()
+        else:
+            shingles = {tuple(tokens[i:i + k]) for i in range(len(tokens) - k + 1)}
+        size = len(shingles)
+        dup = False
+        for other in survivor_shingles:
+            other_size = len(other)
+            if size and other_size and min(size, other_size) < threshold * max(size, other_size):
+                continue
+            common = len(shingles & other)
+            union = size + other_size - common
+            if union == 0 or common / union >= threshold:
+                dup = True
+                break
+        if not dup:
+            seen_exact.add(norm)
+            survivors.append(para)
+            survivor_shingles.append(shingles)
+    return survivors
+
+
+@st.composite
+def paragraph_lists(draw):
+    """Paragraphs of 0-12 words over a 3-4 word vocabulary, so that short
+    paragraphs and repeated shingles are common, with punctuation-only
+    paragraphs and case/space variants of earlier ones."""
+    vocab = ["alfa", "beta", "gamma", "delta"][:draw(st.integers(3, 4))]
+    separators = st.sampled_from([" ", "  ", ", ", ". ", "\n", " - "])
+    paragraphs = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["words", "words", "words", "punct", "variant"]))
+        if kind == "punct":
+            paragraphs.append(draw(st.sampled_from(["", "...", "?!", " - "])))
+        elif kind == "variant" and paragraphs:
+            p = draw(st.sampled_from(paragraphs))
+            paragraphs.append(draw(st.sampled_from(
+                [p.upper(), f"  {p} ", p.replace(" ", "   ")])))
+        else:
+            words = draw(st.lists(st.sampled_from(vocab), max_size=12))
+            paragraphs.append("".join(w + draw(separators) for w in words))
+    return paragraphs
+
+
+class TestPrefixFilterDedup:
+    @given(paragraph_lists(),
+           st.one_of(st.sampled_from([1.0, 0.9, 2 / 3, 0.5, 0.2]),
+                     st.floats(min_value=0.01, max_value=1.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_quadratic_reference(self, paragraphs, threshold):
+        assert dedup_paragraphs(paragraphs, threshold) == \
+            quadratic_dedup(paragraphs, threshold)
+
+    def test_near_duplicate_source_of_220(self):
+        # 200 distinct 200-word paragraphs over 16 words, then 20 copies with
+        # one word changed (shingle Jaccard about 0.95)
+        rng = np.random.default_rng(23)
+        vocab = ["cellula", "energia", "membrana", "enzima", "nucleo", "acido",
+                 "massa", "forza", "campo", "onda", "limite", "derivata",
+                 "insieme", "logica", "numero", "atomo"]
+        originals = [" ".join(rng.choice(vocab, size=199).tolist() + [f"chiusura{i}"])
+                     for i in range(200)]
+        injected = []
+        for i in range(20):
+            words = originals[i * 10].split()
+            words[int(rng.integers(10, 180))] = "mutata"
+            injected.append(" ".join(words))
+        corpus = originals + injected
+        assert dedup_paragraphs(corpus) == quadratic_dedup(corpus, 0.9) == originals
 
 
 class TestChunking:

@@ -375,6 +375,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected_by_name(self, tmp_path, bad):
+        params = attach_lora(tiny(seed=32), LoraConfig(rank=2, alpha=4.0), seed=33)
+        # W2 and a later adapter tensor both hold one: the first is named
+        params.W2[1, 0] = bad
+        next(iter(params.lora.values()))[0][0, 0] = bad
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        with pytest.raises(CheckpointError, match="tensor W2 holds a NaN or Inf"):
+            load_checkpoint(path)
+
     def test_truncation_rejected(self, tmp_path):
         params = tiny(seed=31)
         path = tmp_path / "model.ckpt"

@@ -8,7 +8,8 @@ from semrank import policy
 from semrank.optim import AdamWState, LrSchedule
 from semrank.rewards import COMPONENT_NAMES, RewardBreakdown
 from semrank.tokenizers import ByteBucketVocab, EOS_ID
-from semrank.trainer import (GrpoConfig, GrpoItem, GrpoNaNError, SftItem,
+from semrank.trainer import (GrpoConfig, GrpoItem, GrpoNaNError, LmNaNError,
+                             SftItem,
                              TrainState, _collect_rollouts, grpo_step,
                              group_advantages, k3_kl, run_grpo, sft_loss,
                              train_clm, train_sft, write_metrics_csv)
@@ -161,6 +162,23 @@ class TestTrainSft:
         decoded = policy.greedy_decode(params, [2, 3], max_len=10,
                                        stop_token=EOS_ID)
         assert decoded == [5, 6, 7, EOS_ID]
+
+    @pytest.mark.parametrize("stage", ["cpt", "sft"])
+    def test_non_finite_loss_names_epoch_and_batch(self, stage):
+        params = tiny_policy(seed=8)
+        params.W2[...] = np.nan
+        sched = LrSchedule(base_lr=0.01, warmup_steps=0, total_steps=10)
+        before = {n: t.copy() for n, t in params.base_tensors().items()}
+        with pytest.raises(LmNaNError, match="epoch 1, batch 1"):
+            if stage == "cpt":
+                train_clm([[1, 2, 3, 4] * 4], params, AdamWState(lr=0.01), sched,
+                          epochs=2, seq_len=8, batch_size=1)
+            else:
+                train_sft([SftItem((1, 2), (3, 4))] * 2, params,
+                          AdamWState(lr=0.01), sched, epochs=2, batch_size=1)
+        # raised before the batch's optimizer step
+        for name, t in params.base_tensors().items():
+            np.testing.assert_array_equal(t, before[name])
 
     def test_empty_completion_rejected(self):
         with pytest.raises(ValueError):
