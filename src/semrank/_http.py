@@ -15,6 +15,10 @@ import select
 import threading
 import urllib.parse
 
+# How often the encoder and judge clients send one request before its
+# failure surfaces: the first try and one retry.
+POST_ATTEMPTS = 2
+
 
 class HttpStatusError(Exception):
     def __init__(self, status: int, url: str):

@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .judge import JudgeClient, build_pair_prompt, parse_verdict_reply, parsed_judgement
-from .text_protocol import TaggedOutput, normalize_answer, parse_tagged
+from .text_protocol import TaggedOutput, normalize_answer
 
 INITIAL_RATING = 1500.0
 DEFAULT_K_FACTOR = 32.0
@@ -46,17 +46,16 @@ class EloTable:
     """Ratings for a fixed set of models, updated match by match.
 
     Updates are zero-sum by construction, so the rating sum stays at
-    len(models) * initial rating exactly.
+    len(models) * INITIAL_RATING exactly.
     """
 
     k_factor: float = DEFAULT_K_FACTOR
-    initial: float = INITIAL_RATING
     ratings: dict[str, float] = field(default_factory=dict)
     games: dict[str, int] = field(default_factory=dict)
     update_count: int = 0
 
     def rating(self, model: str) -> float:
-        return self.ratings.get(model, self.initial)
+        return self.ratings.get(model, INITIAL_RATING)
 
     def record(self, match: MatchRecord) -> None:
         r_a = self.rating(match.model_a)
@@ -156,7 +155,7 @@ def run_tournament(models: dict[str, dict[str, str]], items: list[dict],
         order = rng.permutation(len(schedule))
         table = EloTable(k_factor=k)
         for name in names:
-            table.ratings.setdefault(name, table.initial)
+            table.ratings.setdefault(name, INITIAL_RATING)
             table.games.setdefault(name, 0)
         for idx in order:
             (model_a, model_b), item = schedule[idx]
@@ -182,21 +181,19 @@ def run_tournament(models: dict[str, dict[str, str]], items: list[dict],
     return TournamentReport(tables=tables, matches=matches, aggregate=aggregate)
 
 
-def evaluate_accuracy(outputs: dict[str, TaggedOutput | str],
+def evaluate_accuracy(outputs: dict[str, TaggedOutput],
                       gold_answers: dict[str, str]) -> float:
-    """Fraction of items whose extracted answer matches the gold after
+    """Fraction of items whose answer matches the gold after
     normalize_answer.
 
-    outputs maps item_id to a TaggedOutput or raw generation text; an item
-    without an output counts as wrong, and no gold answers raise.
+    outputs maps item_id to a TaggedOutput; an item without an output counts
+    as wrong, and no gold answers raise.
     """
     if not gold_answers:
         raise ValueError("no gold answers given")
     hits = 0
     for item_id, gold in gold_answers.items():
         out = outputs.get(item_id) or TaggedOutput()
-        if isinstance(out, str):
-            out = parse_tagged(out)
         hits += int(out.risposta is not None
                     and normalize_answer(out.risposta) == normalize_answer(gold))
     return hits / len(gold_answers)

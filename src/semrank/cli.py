@@ -109,6 +109,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
             user = json.loads(p.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
+        if not isinstance(user, dict):
+            raise ConfigError(f"config {p} is not a JSON object")
         if user.get("version", CONFIG_VERSION) != CONFIG_VERSION:
             raise ConfigError(
                 f"config version {user.get('version')} unsupported "
@@ -244,10 +246,13 @@ def _require_path(value, what: str) -> Path:
 
 
 def _rows(path: Path, what: str, required: tuple[str, ...]) -> list[dict]:
-    """The rows of a JSON-lines input file; a row that is not an object, or
-    lacks a required field, raises ConfigError naming what, the file and the
-    row's index."""
-    rows = dataprep.read_jsonl(path)
+    """The rows of a JSON-lines input file; a line that is not JSON, or a row
+    that is not an object or lacks a required field, raises ConfigError
+    naming what, the file and the line or the row's index."""
+    try:
+        rows = dataprep.read_jsonl(path)
+    except ValueError as exc:
+        raise ConfigError(f"{what} {exc}") from exc
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             raise ConfigError(f"{what} {path}: row {i} is not an object")
@@ -431,9 +436,9 @@ def _run_grpo(cfg: dict, out_dir: Path) -> Path:
     init = gc["init_checkpoint"] or (out_dir / "sft" / "final.ckpt")
     init = _require_path(init, "grpo.init_checkpoint (upstream SFT checkpoint)")
     base, init_extra = policy.load_checkpoint(init)
+    run_dir = out_dir / "grpo"
     if gc["steps"] == 0:
         # zero steps: pass the input through untouched (byte-identical)
-        run_dir = out_dir / "grpo"
         run_dir.mkdir(parents=True, exist_ok=True)
         final = run_dir / "step0.ckpt"
         policy.save_checkpoint(base, final, extra=init_extra)
@@ -464,9 +469,8 @@ def _run_grpo(cfg: dict, out_dir: Path) -> Path:
         params=params, ref_params=ref,
         optimizer=make_optimizer("adamw", lr=gc["lr"],
                                  weight_decay=gc["weight_decay"]))
-    trainer.run_grpo(state, dataset, score_fn, vocab.decode, grpo_cfg,
-                     out_dir=out_dir, run_id="grpo")
-    final = out_dir / "grpo" / f"step{state.step}.ckpt"
+    trainer.run_grpo(state, dataset, score_fn, vocab.decode, grpo_cfg, out_dir=run_dir)
+    final = run_dir / f"step{state.step}.ckpt"
     print(f"grpo: {state.step} steps -> {final}")
     return final
 
@@ -513,7 +517,7 @@ def cmd_score(cfg: dict, generations_file: str) -> int:
     contexts = build_reward_contexts(list(qa_items.values()), train_items, provider,
                                      cfg["grpo"]["centroid_sample"], cfg["seed"])
     rows = []
-    for row in dataprep.read_jsonl(gen_path):
+    for row in _rows(gen_path, "generations file", ()):
         item_id = str(row.get("item_id"))
         text = row.get("text", "")
         if item_id not in contexts:

@@ -300,13 +300,18 @@ def to_instruction(item: QaItem) -> tuple[str, str]:
 # JSON-lines IO
 # ---------------------------------------------------------------------------
 
-def read_jsonl(path) -> list[dict]:
+def read_jsonl(path) -> list:
+    """The JSON value on each non-blank line of path. A line that is not
+    JSON raises ValueError naming the file and the line, counted from 1."""
     rows = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for number, line in enumerate(f, 1):
             line = line.strip()
             if line:
-                rows.append(json.loads(line))
+                try:
+                    rows.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}: line {number} is not JSON ({exc})") from None
     return rows
 
 

@@ -18,7 +18,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from ._http import HttpStatusError, HttpTransportError, post_json
+from ._http import POST_ATTEMPTS, HttpStatusError, HttpTransportError, post_json
 from .errors import DegenerateVectorError, EmbeddingServiceError
 
 logger = logging.getLogger(__name__)
@@ -128,7 +128,6 @@ class EncoderEndpointConfig:
     timeout: float = 30.0
     batch_size: int = 32
     auth_token: str | None = None
-    max_retries: int = 1  # retries per batch before the error surfaces
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -173,9 +172,8 @@ class RemoteEncoder:
         return out
 
     def _post_batch(self, batch: list[str], batch_index: int) -> dict:
-        attempts = self.cfg.max_retries + 1
         last: Exception | None = None
-        for attempt in range(attempts):
+        for attempt in range(POST_ATTEMPTS):
             try:
                 return post_json(self._url, {"texts": batch},
                                  timeout=self.cfg.timeout,
@@ -190,7 +188,7 @@ class RemoteEncoder:
                 err = EmbeddingServiceError(
                     f"encoder transport failure for batch {batch_index}: {exc}",
                     batch_index=batch_index)
-            if attempt + 1 < attempts:
+            if attempt + 1 < POST_ATTEMPTS:
                 logger.warning("retrying embed batch %d after %s", batch_index, last)
         raise err from last
 

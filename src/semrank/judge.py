@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Callable, Protocol, TypeVar
 
-from ._http import HttpStatusError, HttpTransportError, post_json
+from ._http import POST_ATTEMPTS, HttpStatusError, HttpTransportError, post_json
 from .errors import JudgeServiceError
 from .tokenizers import word_tokenize
 
@@ -129,7 +129,6 @@ class JudgeEndpointConfig:
     model: str = "judge"
     timeout: float = 60.0
     auth_token: str | None = None
-    max_retries: int = 1
 
     def __post_init__(self):
         if not self.timeout > 0:
@@ -158,9 +157,8 @@ class HttpJudgeClient:
             "model": self.cfg.model,
             "messages": [{"role": "user", "content": prompt}],
         }
-        attempts = self.cfg.max_retries + 1
         last: Exception | None = None
-        for attempt in range(attempts):
+        for attempt in range(POST_ATTEMPTS):
             try:
                 reply = post_json(self.cfg.url, payload, timeout=self.cfg.timeout,
                                   auth_token=self.cfg.auth_token)
@@ -168,7 +166,7 @@ class HttpJudgeClient:
             except (HttpStatusError, HttpTransportError, KeyError,
                     IndexError, TypeError) as exc:
                 last = exc
-                if attempt + 1 < attempts:
+                if attempt + 1 < POST_ATTEMPTS:
                     logger.warning("retrying judge call after %s", exc)
         raise JudgeServiceError(f"judge endpoint failed: {last}") from last
 

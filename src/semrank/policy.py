@@ -7,7 +7,8 @@ pushed through one tanh hidden layer, and projected to vocabulary logits:
     h      = tanh(W1_eff^T x + b1)                (h,)
     logits = W2_eff^T h + b2                      (V,)
 
-where X_eff = X + (alpha/r) * B @ A when a LoRA adapter is attached to X.
+where X_eff = X + (alpha/r) * B @ A when a LoRA adapter is attached; an
+adapter always covers both W1 and W2.
 Every training objective in this package reduces to a weighted sum of
 token log-probabilities, so one kernel, `token_forward`, serves them all:
 one forward over stacked context windows gives the log-probs and the exact
@@ -16,7 +17,7 @@ gradient of sum_n g_n * log pi(target_n) for caller-supplied weights g_n
 Its first layer reads a per-position lookup table, row c*V + v holding
 E[v] @ W1[c] (Devlin et al., 2014): a window's pre-activation is the sum
 of C table rows, and the backward sums the pre-activation gradients
-grouped by table row, from which dW1 and dE follow by small products. A W1
+grouped by table row, from which dW1 and dE follow by small products. The W1
 adapter stays factored, x @ W1 + scale * (x @ B1) @ A1, so the kernel never
 forms W1_eff or the full dW1. The decoder, `generate`, multiplies by W1_eff.
 
@@ -53,17 +54,12 @@ CKPT_MAGIC = b"SRCK0001"
 class LoraConfig:
     rank: int = 32
     alpha: float = 64.0
-    targets: tuple[str, ...] = ("W1", "W2")
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(self.targets))
         if self.rank < 1:
             raise ValueError("LoRA rank must be >= 1")
         if self.alpha <= 0:
             raise ValueError("LoRA alpha must be positive")
-        bad = set(self.targets) - set(LORA_TARGETS)
-        if bad:
-            raise ValueError(f"LoRA targets must be among {LORA_TARGETS}, got {sorted(bad)}")
 
     @property
     def scale(self) -> float:
@@ -90,9 +86,9 @@ def _lora_names(host: str) -> tuple[str, str]:
 class PolicyParams:
     """All model tensors plus the optional LoRA factor pairs.
 
-    lora maps a target name to (A, B) with A: (rank, cols) and B: (rows,
-    rank) for a host of shape (rows, cols); the adapter delta is
-    scale * B @ A. tensors() names them all, in one order.
+    lora is None, or maps each of LORA_TARGETS to (A, B) with A: (rank,
+    cols) and B: (rows, rank) for a host of shape (rows, cols); the adapter
+    delta is scale * B @ A. tensors() names them all, in one order.
     """
 
     E: np.ndarray
@@ -121,11 +117,11 @@ class PolicyParams:
 
     def tensors(self) -> dict[str, np.ndarray]:
         """Every tensor by name: the base tensors in BASE_TENSORS order, then
-        each adapter host's lora.<host>.A and lora.<host>.B in host-name
+        each adapter host's lora.<host>.A and lora.<host>.B in LORA_TARGETS
         order. Checkpoints and digest() store and hash this table."""
         out = self.base_tensors()
-        for host, pair in sorted((self.lora or {}).items()):
-            out.update(zip(_lora_names(host), pair))
+        for host in LORA_TARGETS if self.lora else ():
+            out.update(zip(_lora_names(host), self.lora[host]))
         return out
 
     def trainable(self) -> dict[str, np.ndarray]:
@@ -137,9 +133,9 @@ class PolicyParams:
 
     def effective(self, name: str) -> np.ndarray:
         """Host matrix with its LoRA delta applied (the host itself when no
-        adapter targets it)."""
+        adapter is attached)."""
         base = getattr(self, name)
-        if self.lora is not None and name in self.lora:
+        if self.lora is not None:
             a, b = self.lora[name]
             return base + self.lora_cfg.scale * (b @ a)
         return base
@@ -199,10 +195,11 @@ def init_params(vocab_size: int = 64, context_size: int = 16, embed_dim: int = 3
 
 
 def attach_lora(params: PolicyParams, cfg: LoraConfig, seed: int = 0) -> PolicyParams:
-    """Fresh adapter: A ~ N(0, 1/rank), B = 0, so the initial delta is zero."""
+    """Fresh W1 and W2 adapters: A ~ N(0, 1/rank), B = 0, so the initial
+    delta is zero."""
     rng = np.random.default_rng(seed)
     lora = {}
-    for name in cfg.targets:
+    for name in LORA_TARGETS:
         host = getattr(params, name)
         rows, cols = host.shape
         if cfg.rank > min(rows, cols):
@@ -309,11 +306,11 @@ def token_forward(params: PolicyParams, windows, targets, temperature: float = 1
     T = E @ W1[c] is (C*V, h), and a window's pre-activation is the sum of
     its rows at keys window[c] + c*V, so the (N, C*d) gathered embeddings
     are never built. The backward sums the rows of dpre grouped by key into
-    dT, then dW1[c] = E^T dT[c] and dE = sum_c dT[c] W1[c]^T. A W1 adapter
+    dT, then dW1[c] = E^T dT[c] and dE = sum_c dT[c] W1[c]^T. The W1 adapter
     is factored: a second table of B1 gives U = x @ B1 (N, r), the policy
     adds s * U @ A1, and dA1 = s * U^T dpre while dB1 comes from the grouped
     sums of s * dpre @ A1^T at rank r, so neither W1 + s*B1@A1 nor the
-    full dW1 is formed.
+    full dW1 is formed. The W2 adapter is applied densely, as W2_eff.
     """
     windows = _check_tokens(params, windows)
     targets = _check_tokens(params, targets)
@@ -323,13 +320,12 @@ def token_forward(params: PolicyParams, windows, targets, temperature: float = 1
         raise ValueError(f"windows must have shape ({N}, {C}), got {windows.shape}")
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    lora = params.lora or {}
-    scale = params.lora_cfg.scale if params.lora else 0.0
     # keys[c, n]: the table row of window n's token at position c
     keys = np.ascontiguousarray((windows + V * np.arange(C)).T)
     pre = _lookup_sum(_position_table(params.E, params.W1), keys)
-    if "W1" in lora:
-        A1, B1 = lora["W1"]
+    if params.lora is not None:
+        (A1, B1), (A2, B2) = params.lora["W1"], params.lora["W2"]
+        scale = params.lora_cfg.scale
         U = _lookup_sum(_position_table(params.E, B1), keys)
         pre += scale * (U @ A1)
     w2 = params.effective("W2")
@@ -350,16 +346,11 @@ def token_forward(params: PolicyParams, windows, targets, temperature: float = 1
         dpre = (dlogits @ w2.T) * (1.0 - H * H)
 
         if params.lora is not None:
-            grads: dict[str, np.ndarray] = {}
-            if "W1" in lora:
-                grads["lora.W1.A"] = scale * (U.T @ dpre)
-                grads["lora.W1.B"] = _position_table_grad(
-                    params.E, _grouped_row_sums(keys, scale * (dpre @ A1.T), C * V))
-            if "W2" in lora:
-                A2, B2 = lora["W2"]
-                grads["lora.W2.A"] = scale * (B2.T @ dW2)
-                grads["lora.W2.B"] = scale * (dW2 @ A2.T)
-            return grads
+            return {"lora.W1.A": scale * (U.T @ dpre),
+                    "lora.W1.B": _position_table_grad(
+                        params.E, _grouped_row_sums(keys, scale * (dpre @ A1.T), C * V)),
+                    "lora.W2.A": scale * (B2.T @ dW2),
+                    "lora.W2.B": scale * (dW2 @ A2.T)}
 
         dT = _grouped_row_sums(keys, dpre, C * V)
         h = params.hidden_dim
@@ -383,10 +374,10 @@ def logprob_sequence(params: PolicyParams, prompt, completion,
 
 
 def generate(params: PolicyParams, prompts, temperature: float, max_len: int,
-             seeds=None, stop_token: int = EOS_ID) -> list[SampledSequence]:
+             seeds=None) -> list[SampledSequence]:
     """Ancestral sampling from softmax(logits / temperature), all prompts in
     lockstep: each step is one forward over the live rows, and a row stops
-    after emitting stop_token or at max_len. Row b draws its uniforms up
+    after emitting EOS_ID or at max_len. Row b draws its uniforms up
     front from default_rng(seeds[b]) and compares each with the token cdf,
     the one draw Generator.choice(p=...) makes, so rows are independent.
     Temperatures below 1e-6 switch to greedy argmax and need no seeds; a
@@ -429,10 +420,10 @@ def generate(params: PolicyParams, prompts, temperature: float, max_len: int,
             tok = (cdf <= uniforms[live, t, None]).sum(axis=1)
             logprobs[live, t] = logp[np.arange(len(tok)), tok]
         buf[live, C + t] = tok
-        if stop_token in tok.tolist():  # cheaper per token than an array test
+        if EOS_ID in tok.tolist():  # cheaper per token than an array test
             rows = np.arange(len(prompts))[live]
-            lengths[rows[tok == stop_token]] = t + 1
-            live = rows[tok != stop_token]
+            lengths[rows[tok == EOS_ID]] = t + 1
+            live = rows[tok != EOS_ID]
             if not len(live):
                 break
     return [SampledSequence(tokens=tuple(buf[b, C:C + n].tolist()),
@@ -442,17 +433,13 @@ def generate(params: PolicyParams, prompts, temperature: float, max_len: int,
 
 
 def sample_sequence(params: PolicyParams, prompt, temperature: float = 1.0,
-                    max_len: int = 128, stop_token: int = EOS_ID,
-                    rng_seed: int = 0) -> SampledSequence:
+                    max_len: int = 128, rng_seed: int = 0) -> SampledSequence:
     """One prompt sampled by generate, with seed rng_seed."""
-    return generate(params, [prompt], temperature, max_len, [rng_seed], stop_token)[0]
+    return generate(params, [prompt], temperature, max_len, [rng_seed])[0]
 
 
-def greedy_decode(params: PolicyParams, prompt, max_len: int = 128,
-                  stop_token: int = EOS_ID) -> list[int]:
-    seq = generate(params, [prompt], GREEDY_TEMPERATURE_CUTOFF / 10, max_len,
-                   stop_token=stop_token)[0]
-    return list(seq.tokens)
+def greedy_decode(params: PolicyParams, prompt, max_len: int = 128) -> list[int]:
+    return list(generate(params, [prompt], GREEDY_TEMPERATURE_CUTOFF / 10, max_len)[0].tokens)
 
 
 def backward(params: PolicyParams, prompt, completion, per_token_loss_grads,
@@ -475,7 +462,8 @@ def save_checkpoint(params: PolicyParams, path, extra: dict | None = None) -> No
         "format_version": 1,
         "context_size": params.context_size,
         "tensors": [{"name": n, "shape": list(t.shape)} for n, t in tensors.items()],
-        "lora_cfg": params.lora_cfg and asdict(params.lora_cfg),
+        "lora_cfg": params.lora_cfg and {**asdict(params.lora_cfg),
+                                         "targets": list(LORA_TARGETS)},
         "extra": extra or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -507,7 +495,7 @@ def load_checkpoint(path) -> tuple[PolicyParams, dict]:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
     try:
         params, extra = _parse_checkpoint(data)
-    except (ValueError, KeyError, TypeError, struct.error) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, struct.error) as exc:
         raise CheckpointError(
             f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from exc
     for name, tensor in params.tensors().items():
@@ -528,8 +516,10 @@ def _parse_checkpoint(data: bytes) -> tuple[PolicyParams, dict]:
     loaded: dict[str, np.ndarray] = {}
     for spec in header["tensors"]:
         shape = tuple(spec["shape"])
+        if not all(type(n) is int and n >= 0 for n in shape):
+            raise ValueError(f"bad shape {spec['shape']!r} for tensor {spec['name']}")
         count = math.prod(shape)
-        if min(shape, default=0) < 0 or offset + 8 * count > len(data):
+        if offset + 8 * count > len(data):
             raise ValueError(f"truncated tensor {spec['name']}")
         loaded[spec["name"]] = np.frombuffer(
             data, np.float64, count, offset).reshape(shape)
@@ -537,9 +527,13 @@ def _parse_checkpoint(data: bytes) -> tuple[PolicyParams, dict]:
     if offset != len(data):
         raise ValueError(f"{len(data) - offset} bytes after the last tensor")
 
-    lora_cfg = header["lora_cfg"] and LoraConfig(**header["lora_cfg"])
-    lora = lora_cfg and {host: tuple(loaded[n] for n in _lora_names(host))
-                         for host in lora_cfg.targets}
+    lora_cfg = lora = None
+    if header["lora_cfg"]:
+        cfg = dict(header["lora_cfg"])
+        if cfg.pop("targets") != list(LORA_TARGETS):
+            raise ValueError(f"LoRA targets must be {list(LORA_TARGETS)}")
+        lora_cfg = LoraConfig(**cfg)
+        lora = {host: tuple(loaded[n] for n in _lora_names(host)) for host in LORA_TARGETS}
     params = PolicyParams(**{n: loaded[n] for n in BASE_TENSORS},
                           context_size=int(header["context_size"]),
                           lora=lora, lora_cfg=lora_cfg)

@@ -32,7 +32,8 @@ EOS_ID = 1
 class ByteBucketVocab:
     """Fixed 64-id character vocabulary: PAD=0, EOS=1, 62 character buckets.
 
-    Encoding case-folds first; characters outside the alphabet share the
+    Encoding lowercases first (str.lower, not str.casefold: 'ß' stays one
+    character); characters outside the alphabet share the
     final bucket, so decode(encode(s)) == s holds exactly for lowercase
     strings over the canonical alphabet.
     """

@@ -282,20 +282,18 @@ def write_metrics_csv(path, rows: list[dict],
 
 def run_grpo(state: TrainState, dataset: Sequence[GrpoItem], score_fn: ScoreFn,
              decode: Callable[[Sequence[int]], str], cfg: GrpoConfig,
-             out_dir: str | Path | None = None,
-             run_id: str = "grpo") -> tuple[policy.PolicyParams, list[dict]]:
+             out_dir: str | Path | None = None) -> tuple[policy.PolicyParams, list[dict]]:
     """cfg.steps GRPO steps over a seeded shuffle of the dataset.
 
-    Emits metrics.csv and step{N}.ckpt checkpoints under out_dir/run_id
-    when out_dir is given; partial artifacts survive an aborted run.
+    Emits metrics.csv and step{N}.ckpt checkpoints into out_dir when it is
+    given; partial artifacts survive an aborted run.
     """
     if not dataset:
         raise ValueError("run_grpo needs a non-empty dataset")
     ref_digest = state.ref_params.digest()
-    ckpt_dir = None
     if out_dir is not None:
-        ckpt_dir = Path(out_dir) / run_id
-        ckpt_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=cfg.seed, spawn_key=(0xC0FFEE,)))
@@ -312,15 +310,15 @@ def run_grpo(state: TrainState, dataset: Sequence[GrpoItem], score_fn: ScoreFn,
                 logger.info("grpo step %d: mean_total=%.4f loss=%.5f kl=%.5f",
                             metrics["step"], metrics["mean_total"],
                             metrics["loss"], metrics["mean_kl"])
-            if ckpt_dir is not None and cfg.checkpoint_interval > 0 \
+            if out_dir is not None and cfg.checkpoint_interval > 0 \
                     and (step + 1) % cfg.checkpoint_interval == 0:
-                policy.save_checkpoint(state.params, ckpt_dir / f"step{step + 1}.ckpt",
+                policy.save_checkpoint(state.params, out_dir / f"step{step + 1}.ckpt",
                                        extra={"seed": cfg.seed, "step": step + 1})
     finally:
-        if ckpt_dir is not None:
-            policy.save_checkpoint(state.params, ckpt_dir / f"step{state.step}.ckpt",
+        if out_dir is not None:
+            policy.save_checkpoint(state.params, out_dir / f"step{state.step}.ckpt",
                                    extra={"seed": cfg.seed, "step": state.step})
-            write_metrics_csv(ckpt_dir / "metrics.csv", state.history)
+            write_metrics_csv(out_dir / "metrics.csv", state.history)
 
     if state.ref_params.digest() != ref_digest:
         raise SemrankError("reference params changed during GRPO (bug)")

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semrank.arena import (EloTable, MatchRecord, TournamentReport,
+from semrank.arena import (INITIAL_RATING, EloTable, MatchRecord, TournamentReport,
                            elo_update, evaluate_accuracy, judge_pair,
                            run_tournament)
 from semrank.judge import MockJudge, make_judge
 from semrank.mockserve import StubBehavior, StubServer
+from semrank.text_protocol import TaggedOutput
 
 
 def expected_score_oracle(r_a, r_b):
@@ -60,7 +61,7 @@ class TestEloTable:
         rng = np.random.default_rng(0)
         models = ["m1", "m2", "m3", "m4"]
         for m in models:
-            table.ratings[m] = table.initial
+            table.ratings[m] = INITIAL_RATING
         for i in range(500):
             a, b = rng.choice(models, size=2, replace=False)
             outcome = rng.choice(["A", "B", "TIE"])
@@ -252,7 +253,7 @@ class TestTournament:
 
 class TestAccuracy:
     def tagged(self, answer):
-        return f"<spiegazione>e</spiegazione><risposta>{answer}</risposta>"
+        return TaggedOutput(spiegazione="e", risposta=answer, structurally_valid=True)
 
     def test_all_correct(self):
         gold = {"1": "a", "2": "b"}

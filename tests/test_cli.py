@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semrank import cli
 from semrank._http import post_json
@@ -14,10 +15,12 @@ from semrank.cli import (SCORE_COLUMNS, STAGE_COLUMNS, _provider, build_parser,
                          judge_endpoint, load_config, main, serve_stub)
 from semrank.dataprep import read_jsonl
 from semrank.embedder import RemoteEncoder
+from semrank.errors import ConfigError
 from semrank.judge import build_score_prompt
 from semrank.optim import lr_at
 from semrank.policy import load_checkpoint, save_checkpoint
 from semrank.trainer import METRICS_COLUMNS
+from test_policy import JSON_VALUES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -467,6 +470,31 @@ class TestConfig:
         assert cfg["grpo"]["max_new_tokens"] == 96 and cfg["seed"] == 7
 
 
+# every key an override can name: "seed", a section, or "section.leaf"
+CONFIG_KEYS = [*cli.DEFAULT_CONFIG,
+               *(f"{section}.{leaf}" for section, value in cli.DEFAULT_CONFIG.items()
+                 if isinstance(value, dict) for leaf in value)]
+
+
+class TestConfigProperties:
+    @given(overlay=st.dictionaries(st.sampled_from(CONFIG_KEYS), JSON_VALUES,
+                                   min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_any_overlay_loads_or_raises_config_error(self, overlay):
+        try:
+            load_config(None, overlay)
+        except ConfigError:
+            pass
+
+    @given(content=JSON_VALUES.filter(lambda value: not isinstance(value, dict)))
+    @settings(max_examples=50, deadline=None)
+    def test_non_object_file_raises_config_error(self, tmp_path_factory, content):
+        path = tmp_path_factory.getbasetemp() / "not-an-object.json"
+        path.write_text(json.dumps(content))
+        with pytest.raises(ConfigError, match="not a JSON object"):
+            load_config(str(path))
+
+
 def arena_inputs(tmp_path):
     """Two models of different explanation lengths over three items."""
     items = [{"item_id": f"i{k}", "question": f"domanda {k}?", "answer": "a"}
@@ -507,6 +535,27 @@ def qa_with_first_row(tmp_path, row):
     return {}
 
 
+def arena_with_bad_line(tmp_path, name):
+    """arena_inputs with the last line of tmp_path/name not JSON."""
+    inputs = arena_inputs(tmp_path)
+    path = tmp_path / name
+    path.write_text("\n".join([*path.read_text().splitlines()[:-1], "{not json"]))
+    return {"arena": inputs}
+
+
+def input_file(tmp_path, name, *lines):
+    """tmp_path/name holding lines, for a command that names it; no overrides."""
+    (tmp_path / name).write_text("\n".join(lines))
+    return {}
+
+
+def run(command, tmp_path, cfg):
+    """main() on command with {tmp} filled in, under cfg unless the command
+    names its own --config."""
+    argv = command.format(tmp=tmp_path).split()
+    return main(argv if "--config" in argv else [*argv, "--config", str(cfg)])
+
+
 @pytest.mark.parametrize("overrides,commands,names", [
     (lambda tmp: {"dataprep": {"ratios": [0, 0.5, 0.5]}},
      ["prepare", "train cpt", "train sft"], ["train.jsonl"]),
@@ -526,18 +575,34 @@ def qa_with_first_row(tmp_path, row):
      ["arena"], ["arena.items_file", "items.jsonl", "row 2", "item_id"]),
     (lambda tmp: qa_with_first_row(tmp, {"question": "q?"}),
      ["prepare"], ["dataprep.qa_file", "qa.jsonl", "row 0", "answer"]),
+    (lambda tmp: input_file(tmp, "list.json", "[1, 2]"),
+     ["prepare --config {tmp}/list.json"], ["list.json", "not a JSON object"]),
+    (lambda tmp: input_file(tmp, "data/qa.jsonl", "{not json"),
+     ["prepare"], ["dataprep.qa_file", "qa.jsonl", "line 1", "not JSON"]),
+    (lambda tmp: arena_with_bad_line(tmp, "items.jsonl"),
+     ["arena"], ["arena.items_file", "items.jsonl", "line 3", "not JSON"]),
+    (lambda tmp: arena_with_bad_line(tmp, "models/conciso.jsonl"),
+     ["arena"], ["arena.models_dir", "conciso.jsonl", "line 3", "not JSON"]),
+    (lambda tmp: input_file(tmp, "gens.jsonl", '{"item_id": "x", "text": "t"}', "oops"),
+     ["prepare", "score --generations {tmp}/gens.jsonl"],
+     ["generations file", "gens.jsonl", "line 2", "not JSON"]),
+    (lambda tmp: input_file(tmp, "gens.jsonl", "[1]"),
+     ["prepare", "score --generations {tmp}/gens.jsonl"],
+     ["generations file", "gens.jsonl", "row 0", "not an object"]),
 ], ids=["empty-train-split", "corpus-without-tokens", "lora-rank-above-checkpoint",
         "empty-arena-explanation", "arena-row-without-explanation",
         "arena-row-without-item-id", "arena-item-without-item-id",
-        "qa-row-without-answer"])
+        "qa-row-without-answer", "config-not-object", "qa-line-not-json",
+        "arena-item-line-not-json", "arena-model-line-not-json",
+        "generations-line-not-json", "generations-row-not-object"])
 def test_bad_input_exit_2_naming_it(tmp_path, capsys, overrides, commands, names):
     synth_inputs(tmp_path)
     cfg = write_config(tmp_path, **overrides(tmp_path))
     *before, last = commands
     for command in before:
-        assert main([*command.split(), "--config", str(cfg)]) == 0
+        assert run(command, tmp_path, cfg) == 0
     capsys.readouterr()
-    assert main([*last.split(), "--config", str(cfg)]) == 2
+    assert run(last, tmp_path, cfg) == 2
     err = capsys.readouterr().err
     assert all(name in err for name in names) and "Traceback" not in err, err
 

@@ -162,8 +162,7 @@ class TestRemoteEncoder:
     def test_http_500_names_batch_index(self):
         with StubServer("embed", StubBehavior(mode="fail-with-status",
                                               fail_status=500)) as stub:
-            cfg = EncoderEndpointConfig(base_url=stub.base_url, batch_size=2,
-                                        max_retries=0)
+            cfg = EncoderEndpointConfig(base_url=stub.base_url, batch_size=2)
             client = RemoteEncoder(cfg)
             with pytest.raises(EmbeddingServiceError) as excinfo:
                 client.embed(["a", "b", "c"])
@@ -173,11 +172,11 @@ class TestRemoteEncoder:
     def test_retry_then_surface(self):
         with StubServer("embed", StubBehavior(mode="fail-with-status",
                                               fail_status=503)) as stub:
-            cfg = EncoderEndpointConfig(base_url=stub.base_url, max_retries=2)
+            cfg = EncoderEndpointConfig(base_url=stub.base_url)
             client = RemoteEncoder(cfg)
             with pytest.raises(EmbeddingServiceError):
                 client.embed(["x"])
-            assert stub.stats["requests"] == 3  # initial + 2 retries
+            assert stub.stats["requests"] == 2  # initial + 1 retry
 
     def test_embeds_share_one_connection(self):
         with StubServer("embed", StubBehavior(mode="toy-embed", dim=16)) as stub:
@@ -189,7 +188,7 @@ class TestRemoteEncoder:
 
     def test_stopped_stub_answers_nothing(self):
         stub = StubServer("embed", StubBehavior(mode="toy-embed", dim=16)).start()
-        cfg = EncoderEndpointConfig(base_url=stub.base_url, max_retries=0)
+        cfg = EncoderEndpointConfig(base_url=stub.base_url)
         client = RemoteEncoder(cfg)
         try:
             client.embed(["prima"])  # leaves its connection open
@@ -201,7 +200,7 @@ class TestRemoteEncoder:
 
     def test_transport_failure_distinct(self):
         cfg = EncoderEndpointConfig(base_url="http://127.0.0.1:9",  # discard port
-                                    timeout=0.2, max_retries=0)
+                                    timeout=0.2)
         with pytest.raises(EmbeddingServiceError) as excinfo:
             RemoteEncoder(cfg).embed(["x"])
         assert excinfo.value.status is None

@@ -105,7 +105,7 @@ class TestHttpJudgeClient:
 
     def test_transport_failure_raises_after_retries(self):
         cfg = JudgeEndpointConfig(url="http://127.0.0.1:9/v1/chat/completions",
-                                  timeout=0.2, max_retries=1)
+                                  timeout=0.2)
         with pytest.raises(JudgeServiceError):
             HttpJudgeClient(cfg).complete("ciao")
 

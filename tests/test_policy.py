@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semrank import policy
 from semrank.policy import (LoraConfig, SampledSequence, attach_lora, backward,
@@ -136,8 +137,7 @@ class TestLogprobSequence:
 class TestSampling:
     def test_greedy_limit_is_argmax(self):
         params = tiny(seed=6)
-        seq = sample_sequence(params, [1, 2], temperature=1e-8, max_len=5,
-                              stop_token=EOS_ID, rng_seed=0)
+        seq = sample_sequence(params, [1, 2], temperature=1e-8, max_len=5, rng_seed=0)
         ctx = [PAD_ID, 1, 2]
         expected = []
         for _ in range(5):
@@ -157,8 +157,7 @@ class TestSampling:
     def test_nothing_follows_stop_token(self):
         params = tiny(seed=7)
         for seed in range(20):
-            seq = sample_sequence(params, [1], temperature=1.5, max_len=30,
-                                  stop_token=EOS_ID, rng_seed=seed)
+            seq = sample_sequence(params, [1], temperature=1.5, max_len=30, rng_seed=seed)
             if EOS_ID in seq.tokens:
                 assert seq.tokens.index(EOS_ID) == len(seq.tokens) - 1
 
@@ -260,12 +259,6 @@ class TestGenerate:
             assert list(seq.tokens) == greedy_decode(params, prompt, max_len=10)
             assert seq.logprobs == (0.0,) * len(seq.tokens)
 
-    def test_max_len_cuts_every_row(self):
-        params = tiny(seed=25)
-        out = generate(params, self.PROMPTS, 1.0, 4, seeds=range(6),
-                       stop_token=params.vocab_size)  # a token never emitted
-        assert [len(seq.tokens) for seq in out] == [4] * 6
-
     def test_nothing_follows_stop_token_in_any_row(self):
         params = tiny(seed=7)
         prompts = [[1]] * 40
@@ -347,8 +340,6 @@ class TestLora:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LoraConfig(rank=0)
-        with pytest.raises(ValueError):
-            LoraConfig(targets=("E",))
 
 
 class TestCheckpoint:
@@ -419,8 +410,7 @@ class TestCheckpoint:
 
 class TestTensorTable:
     def test_base_then_adapter_factors_in_host_order(self):
-        params = attach_lora(tiny(seed=36), LoraConfig(rank=2, alpha=4.0,
-                                                       targets=("W2", "W1")), seed=37)
+        params = attach_lora(tiny(seed=36), LoraConfig(rank=2, alpha=4.0), seed=37)
         assert list(params.tensors()) == [
             "E", "W1", "b1", "W2", "b2",
             "lora.W1.A", "lora.W1.B", "lora.W2.A", "lora.W2.B"]
@@ -492,6 +482,30 @@ def _header_bytes(blob):
     return lambda data: data[:8] + struct.pack("<I", len(blob)) + blob
 
 
+# any JSON document, NaN and the infinities included (json reads and writes them)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+    max_leaves=6)
+
+# (path to a header field): the top-level keys, the adapter's settings, and
+# each of the nine tensor entries' name and shape
+HEADER_FIELDS = [("format_version",), ("context_size",), ("tensors",), ("lora_cfg",),
+                 ("extra",), ("lora_cfg", "rank"), ("lora_cfg", "alpha"),
+                 ("lora_cfg", "targets"),
+                 *(("tensors", i, field) for i in range(9) for field in ("name", "shape"))]
+
+
+@pytest.fixture(scope="module")
+def lora_checkpoint(tmp_path_factory):
+    """(path, bytes) of TestMalformedCheckpoint's adapted checkpoint."""
+    path = tmp_path_factory.mktemp("mutations") / "model.ckpt"
+    save_checkpoint(attach_lora(tiny(seed=43, hidden_dim=4), LoraConfig(rank=2, alpha=4.0),
+                                seed=44), path)
+    return path, path.read_bytes()
+
+
 class TestMalformedCheckpoint:
     """hidden size 4, context 3, embed 4, vocab 7, LoRA rank 2 on W1 and W2."""
 
@@ -510,10 +524,14 @@ class TestMalformedCheckpoint:
         _rewrite(lambda header, buffers: header["lora_cfg"].update(rank=1)),
         _rewrite(lambda header, buffers: header["lora_cfg"].update(bogus=1)),
         _rewrite(lambda header, buffers: header.update(lora_cfg=None)),
+        _rewrite(lambda header, buffers: header["lora_cfg"].update(targets=["W1"])),
+        _rewrite(lambda header, buffers: header["lora_cfg"].pop("targets")),
+        _rewrite(_reshape("b1", [1 << 62, "0"])),  # never multiplied out
     ], ids=["cut-length", "cut-header", "non-json-header", "header-not-object",
             "no-b2", "no-adapter-factor", "trailing-bytes", "b1-not-a-vector",
             "E-transposed", "factor-off-its-host", "W1-rows-not-C-d",
-            "rank-not-factor-rank", "unknown-lora-key", "factors-without-adapter"])
+            "rank-not-factor-rank", "unknown-lora-key", "factors-without-adapter",
+            "one-host-targets", "no-targets", "shape-not-ints"])
     def test_rejected_with_checkpoint_error(self, tmp_path, corrupt):
         params = attach_lora(tiny(seed=43, hidden_dim=4), LoraConfig(rank=2, alpha=4.0),
                              seed=44)
@@ -523,6 +541,39 @@ class TestMalformedCheckpoint:
         path.write_bytes(corrupt(path.read_bytes()))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_any_mutation_loads_or_raises_checkpoint_error(self, lora_checkpoint, data):
+        path, good = lora_checkpoint
+        kind = data.draw(st.sampled_from(["cut", "flip", "trail", "header"]), label="kind")
+        if kind == "cut":
+            bad = good[:data.draw(st.integers(0, len(good) - 1))]
+        elif kind == "flip":
+            bad = bytearray(good)
+            for bit in data.draw(st.lists(st.integers(0, 8 * len(good) - 1),
+                                          min_size=1, max_size=3)):
+                bad[bit // 8] ^= 1 << bit % 8
+        elif kind == "trail":
+            bad = good + data.draw(st.binary(min_size=1, max_size=24))
+        else:
+            header = _split(good)[0]
+            *parents, last = data.draw(st.sampled_from(HEADER_FIELDS), label="field")
+            node = header
+            for key in parents:
+                node = node[key]
+            if data.draw(st.booleans(), label="delete"):
+                del node[last]
+            else:
+                node[last] = data.draw(JSON_VALUES | st.sampled_from([["W1"], ["W2"]]),
+                                       label="value")
+            blob, hlen = json.dumps(header).encode(), struct.unpack_from("<I", good, 8)[0]
+            bad = good[:8] + struct.pack("<I", len(blob)) + blob + good[12 + hlen:]
+        path.write_bytes(bytes(bad))
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
 
 
 class TestInitChecks:

@@ -14,12 +14,12 @@ from semrank.trainer import GrpoConfig, GrpoItem, TrainState, k3_kl
 from test_acceptance import finite_difference_grads
 
 
-def random_params(seed, lora, targets=policy.LORA_TARGETS):
+def random_params(seed, lora):
     params = policy.init_params(vocab_size=11, context_size=4, embed_dim=5,
                                 hidden_dim=7, seed=seed, init_scale=0.5)
     if lora:
         params = policy.attach_lora(
-            params, policy.LoraConfig(rank=2, alpha=3.0, targets=targets), seed=seed + 1)
+            params, policy.LoraConfig(rank=2, alpha=3.0), seed=seed + 1)
         rng = np.random.default_rng(seed + 2)
         for _, b in params.lora.values():
             b += rng.normal(0, 0.3, b.shape)
@@ -91,23 +91,33 @@ class TestTokenForward:
 
     @pytest.mark.parametrize("host", ["W1", "W2"])
     def test_single_host_adapter(self, host):
+        # the W1+W2 adapter with only `host`'s B moved off its zero init:
+        # the other host's A gets an exactly zero gradient, and every other
+        # adapter tensor matches finite differences
         rng = np.random.default_rng(11)
-        params = random_params(4, lora=True, targets=(host,))
-        assert list(params.lora) == [host]
+        params = random_params(4, lora=True)
+        assert list(params.lora) == list(policy.LORA_TARGETS)
+        other = next(h for h in policy.LORA_TARGETS if h != host)
+        params.lora[other][1][:] = 0.0
+        still = f"lora.{other}.A"
         pairs = random_pairs(rng)
         windows, targets = policy.stack_windows(params, pairs)
         g = rng.normal(size=len(targets))
         grads = policy.token_forward(params, windows, targets, temperature=0.7)[1](g)
         assert set(grads) == set(params.trainable())
+        assert not grads.pop(still).any()
 
         expected = {name: np.zeros_like(t) for name, t in params.trainable().items()}
         splits = np.cumsum([len(c) for _, c in pairs])[:-1]
         for (p, c), part in zip(pairs, np.split(g, splits)):
             analytic = policy.backward(params, p, c, part, temperature=0.7)
             numeric = finite_difference_grads(params, p, c, part, 0.7)
+            assert not analytic.pop(still).any()
+            assert not numeric.pop(still).any()
             assert max_rel_err(analytic, numeric) < 1e-7
             for name, value in analytic.items():
                 expected[name] += value
+        del expected[still]
         assert max_rel_err(grads, expected) < 1e-12
 
     def test_sampler_logprobs_match_kernel_on_adapted_policy(self):

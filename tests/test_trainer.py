@@ -159,8 +159,7 @@ class TestTrainSft:
         sched = LrSchedule(base_lr=0.05, warmup_steps=0, total_steps=200)
         params, _ = train_sft([item] * 4, params, AdamWState(lr=0.05), sched,
                               epochs=50, batch_size=4, seed=1)
-        decoded = policy.greedy_decode(params, [2, 3], max_len=10,
-                                       stop_token=EOS_ID)
+        decoded = policy.greedy_decode(params, [2, 3], max_len=10)
         assert decoded == [5, 6, 7, EOS_ID]
 
     @pytest.mark.parametrize("stage", ["cpt", "sft"])
@@ -301,8 +300,7 @@ class TestCollectRollouts:
             for k, seq in enumerate(grp.samples):
                 one = policy.sample_sequence(
                     state.params, items[i].prompt_tokens, temperature=0.9,
-                    max_len=7, stop_token=EOS_ID,
-                    rng_seed=np.random.SeedSequence(entropy=5, spawn_key=(4, i, k)))
+                    max_len=7, rng_seed=np.random.SeedSequence(entropy=5, spawn_key=(4, i, k)))
                 assert seq.tokens == one.tokens
                 assert np.allclose(seq.logprobs, one.logprobs, rtol=0, atol=1e-12)
             assert [r.total for r in grp.rewards] == [
@@ -328,8 +326,8 @@ class TestRunGrpo:
                              max_new_tokens=5, lr=1e-3, seed=6,
                              checkpoint_interval=2)
             run_grpo(state, [GrpoItem(str(i), (1, i)) for i in range(3)],
-                     length_score, decode_ids, cfg, out_dir=out, run_id="r")
-            return (out / "r" / "metrics.csv").read_bytes()
+                     length_score, decode_ids, cfg, out_dir=out)
+            return (out / "metrics.csv").read_bytes()
         a = run(tmp_path / "one")
         b = run(tmp_path / "two")
         assert a == b
@@ -339,8 +337,8 @@ class TestRunGrpo:
         cfg = GrpoConfig(group_size=2, steps=4, prompts_per_step=1,
                          max_new_tokens=4, seed=7, checkpoint_interval=2)
         run_grpo(state, [GrpoItem("a", (1,))], length_score, decode_ids, cfg,
-                 out_dir=tmp_path, run_id="ck")
-        names = sorted(p.name for p in (tmp_path / "ck").glob("*.ckpt"))
+                 out_dir=tmp_path)
+        names = sorted(p.name for p in tmp_path.glob("*.ckpt"))
         assert names == ["step2.ckpt", "step4.ckpt"]
 
     def test_reference_frozen_through_run(self):
