@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 from .embedder import ToyEmbedder, cosine, embed_toy, reference_centroid
 from .policy import LoraConfig, PolicyParams, SampledSequence
 from .rewards import (RewardBreakdown, RewardConfig, RewardContext,
-                      rouge_l_f1, semantic_reward, total_reward)
+                      rouge_l_f1, semantic_reward)
 from .text_protocol import TaggedOutput, normalize_answer, parse_tagged
 from .trainer import GrpoConfig, group_advantages
 
@@ -16,7 +16,7 @@ __all__ = [
     "ToyEmbedder", "cosine", "embed_toy", "reference_centroid",
     "LoraConfig", "PolicyParams", "SampledSequence",
     "RewardBreakdown", "RewardConfig", "RewardContext",
-    "rouge_l_f1", "semantic_reward", "total_reward",
+    "rouge_l_f1", "semantic_reward",
     "TaggedOutput", "normalize_answer", "parse_tagged",
     "GrpoConfig", "group_advantages",
 ]

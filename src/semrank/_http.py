@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import http.client
 import json
+import logging
 import select
 import threading
 import urllib.parse
 
-# How often the encoder and judge clients send one request before its
-# failure surfaces: the first try and one retry.
+logger = logging.getLogger(__name__)
+
+# How often post_json sends one request before its failure surfaces: the
+# first try and one retry.
 POST_ATTEMPTS = 2
 
 
@@ -96,26 +99,9 @@ def _exchange(conn: http.client.HTTPConnection, target: str, body: bytes,
         return conn.getresponse()
 
 
-def post_json(url: str, payload: dict, timeout: float,
-              auth_token: str | None = None) -> dict:
-    """POST payload as UTF-8 JSON, return the decoded JSON response.
-
-    Raises HttpStatusError on non-2xx and HttpTransportError on transport
-    or decode failures. No retries happen at this layer; the one silent
-    reconnect of a stale kept-alive connection resends a request its server
-    never answered.
-    """
-    parts = urllib.parse.urlsplit(url)
-    if parts.scheme not in ("http", "https") or not parts.hostname:
-        raise HttpTransportError(f"POST {url} failed: not an http(s) URL")
-    target = parts.path or "/"
-    if parts.query:
-        target += "?" + parts.query
-    body = json.dumps(payload).encode("utf-8")
-    headers = {"Content-Type": "application/json"}
-    if auth_token:
-        headers["Authorization"] = f"Bearer {auth_token}"
-    conn = _connection(parts, timeout)
+def _post_once(conn: http.client.HTTPConnection, url: str, target: str,
+               body: bytes, headers: dict) -> dict:
+    """One try of post_json over conn."""
     try:
         resp = _exchange(conn, target, body, headers)
         raw = resp.read()  # read in full, even on error, so the connection stays usable
@@ -128,3 +114,32 @@ def post_json(url: str, payload: dict, timeout: float,
         return json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise HttpTransportError(f"non-JSON response from {url}: {exc}") from exc
+
+
+def post_json(url: str, payload: dict, timeout: float,
+              auth_token: str | None = None) -> dict:
+    """POST payload as UTF-8 JSON, return the decoded JSON response.
+
+    A non-2xx reply (HttpStatusError) or a transport or decode failure
+    (HttpTransportError) is sent again, POST_ATTEMPTS tries in all, and the
+    last failure is raised; a URL that is not http(s) raises at once. The
+    silent reconnect of a stale kept-alive connection is not a try.
+    """
+    parts = urllib.parse.urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise HttpTransportError(f"POST {url} failed: not an http(s) URL")
+    target = parts.path or "/"
+    if parts.query:
+        target += "?" + parts.query
+    body = json.dumps(payload).encode("utf-8")
+    headers = {"Content-Type": "application/json"}
+    if auth_token:
+        headers["Authorization"] = f"Bearer {auth_token}"
+    conn = _connection(parts, timeout)
+    for attempt in range(1, POST_ATTEMPTS + 1):
+        try:
+            return _post_once(conn, url, target, body, headers)
+        except (HttpStatusError, HttpTransportError) as exc:
+            if attempt == POST_ATTEMPTS:
+                raise
+            logger.warning("retrying POST %s after %s", url, exc)

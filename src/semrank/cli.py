@@ -262,6 +262,18 @@ def _rows(path: Path, what: str, required: tuple[str, ...]) -> list[dict]:
     return rows
 
 
+def _qa_items(path: Path, what: str) -> list[dataprep.QaItem]:
+    """The QA items of a JSON-lines file; a row _rows or QaItem rejects
+    raises ConfigError naming what, the file and the row's index."""
+    items = []
+    for i, row in enumerate(_rows(path, what, ("question", "answer"))):
+        try:
+            items.append(dataprep.qa_item_from_dict(row, i))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{what} {path}: row {i}: {exc}") from exc
+    return items
+
+
 def _provider(cfg: dict):
     """The embedder section's provider; a remote one takes its URL (else
     SEMRANK_EMBED_URL) and SEMRANK_EMBED_TOKEN, and without a URL raises
@@ -292,8 +304,7 @@ def cmd_prepare(cfg: dict) -> int:
     dp = cfg["dataprep"]
     corpus_dir = _require_path(dp["corpus_dir"], "dataprep.corpus_dir")
     qa_file = _require_path(dp["qa_file"], "dataprep.qa_file")
-    raw_items = [dataprep.qa_item_from_dict(row, i) for i, row in enumerate(
-        _rows(qa_file, "dataprep.qa_file", ("question", "answer")))]
+    raw_items = _qa_items(qa_file, "dataprep.qa_file")
     echo_config(cfg, out_dir)
     vocab = ByteBucketVocab()
 
@@ -359,7 +370,7 @@ def _run_cpt(cfg: dict, optimizer_kind: str, out_dir: Path) -> list[float]:
     sc = cfg["cpt"]
     chunks_file = _require_path(out_dir / "corpus_chunks.jsonl",
                                 "corpus chunks (run prepare first)")
-    chunks = [row["tokens"] for row in dataprep.read_jsonl(chunks_file)]
+    chunks = [row["tokens"] for row in _rows(chunks_file, "corpus chunks", ("tokens",))]
     if not any(chunks):
         raise ConfigError(f"no tokens in {chunks_file}: no .txt file in "
                           "dataprep.corpus_dir holds text")
@@ -395,10 +406,10 @@ def _run_sft(cfg: dict, out_dir: Path) -> None:
 
 
 def _split_items(out_dir: Path, split: str) -> list[dataprep.QaItem]:
-    """A prepared split's items; a split file that is not there raises
-    ConfigError."""
+    """A prepared split's items; a missing split file, or a row _qa_items
+    rejects, raises ConfigError."""
     path = _require_path(out_dir / f"{split}.jsonl", f"{split} split (run prepare first)")
-    return [dataprep.qa_item_from_dict(row) for row in dataprep.read_jsonl(path)]
+    return _qa_items(path, f"{split} split")
 
 
 def _train_items(out_dir: Path) -> list[dataprep.QaItem]:
@@ -432,7 +443,7 @@ def _run_grpo(cfg: dict, out_dir: Path) -> Path:
     judge_client = None
     if "judge" in reward_cfg.enabled:
         endpoint = judge_endpoint(cfg)
-        judge_client = make_judge(endpoint.url, endpoint)
+        judge_client = _build("key judge.url", make_judge, endpoint.url, endpoint)
     init = gc["init_checkpoint"] or (out_dir / "sft" / "final.ckpt")
     init = _require_path(init, "grpo.init_checkpoint (upstream SFT checkpoint)")
     base, init_extra = policy.load_checkpoint(init)
@@ -506,14 +517,15 @@ SCORE_COLUMNS = ["item_id", *COMPONENT_NAMES, "total", "error"]
 
 def cmd_score(cfg: dict, generations_file: str) -> int:
     out_dir = Path(cfg["out_dir"])
+    _, reward_cfg, _ = grpo_settings(cfg)
+    reward_cfg = _build("key grpo.rewards (score runs no judge)", replace, reward_cfg,
+                        enabled=reward_cfg.enabled - {"judge"})
     provider = _provider(cfg)
     echo_config(cfg, out_dir)
     gen_path = _require_path(generations_file, "generations file")
     train_items = _train_items(out_dir)
     qa_items = {item.item_id: item for split in dataprep.SPLIT_NAMES
                 for item in _split_items(out_dir, split)}
-    _, reward_cfg, _ = grpo_settings(cfg)
-    reward_cfg = replace(reward_cfg, enabled=reward_cfg.enabled - {"judge"})
     contexts = build_reward_contexts(list(qa_items.values()), train_items, provider,
                                      cfg["grpo"]["centroid_sample"], cfg["seed"])
     rows = []

@@ -11,17 +11,14 @@ values and the dimension d.
 
 from __future__ import annotations
 
-import logging
 import os
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from ._http import POST_ATTEMPTS, HttpStatusError, HttpTransportError, post_json
+from ._http import HttpStatusError, HttpTransportError, post_json
 from .errors import DegenerateVectorError, EmbeddingServiceError
-
-logger = logging.getLogger(__name__)
 
 EMBED_URL_ENV = "SEMRANK_EMBED_URL"
 EMBED_TOKEN_ENV = "SEMRANK_EMBED_TOKEN"
@@ -167,30 +164,19 @@ class RemoteEncoder:
         bs = self.cfg.batch_size
         for batch_index, start in enumerate(range(0, len(texts), bs)):
             batch = list(texts[start:start + bs])
-            reply = self._post_batch(batch, batch_index)
+            try:
+                reply = post_json(self._url, {"texts": batch}, timeout=self.cfg.timeout,
+                                  auth_token=self.cfg.auth_token)
+            except HttpStatusError as exc:
+                raise EmbeddingServiceError(
+                    f"encoder returned HTTP {exc.status} for batch {batch_index}",
+                    batch_index=batch_index, status=exc.status) from exc
+            except HttpTransportError as exc:
+                raise EmbeddingServiceError(
+                    f"encoder transport failure for batch {batch_index}: {exc}",
+                    batch_index=batch_index) from exc
             out.extend(self._parse_batch(reply, batch, batch_index))
         return out
-
-    def _post_batch(self, batch: list[str], batch_index: int) -> dict:
-        last: Exception | None = None
-        for attempt in range(POST_ATTEMPTS):
-            try:
-                return post_json(self._url, {"texts": batch},
-                                 timeout=self.cfg.timeout,
-                                 auth_token=self.cfg.auth_token)
-            except HttpStatusError as exc:
-                last = exc
-                err = EmbeddingServiceError(
-                    f"encoder returned HTTP {exc.status} for batch {batch_index}",
-                    batch_index=batch_index, status=exc.status)
-            except HttpTransportError as exc:
-                last = exc
-                err = EmbeddingServiceError(
-                    f"encoder transport failure for batch {batch_index}: {exc}",
-                    batch_index=batch_index)
-            if attempt + 1 < POST_ATTEMPTS:
-                logger.warning("retrying embed batch %d after %s", batch_index, last)
-        raise err from last
 
     def _parse_batch(self, reply: dict, batch: list[str],
                      batch_index: int) -> list[np.ndarray]:

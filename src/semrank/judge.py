@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Callable, Protocol, TypeVar
 
-from ._http import POST_ATTEMPTS, HttpStatusError, HttpTransportError, post_json
+from ._http import HttpStatusError, HttpTransportError, post_json
 from .errors import JudgeServiceError
 from .tokenizers import word_tokenize
 
@@ -157,18 +157,13 @@ class HttpJudgeClient:
             "model": self.cfg.model,
             "messages": [{"role": "user", "content": prompt}],
         }
-        last: Exception | None = None
-        for attempt in range(POST_ATTEMPTS):
-            try:
-                reply = post_json(self.cfg.url, payload, timeout=self.cfg.timeout,
-                                  auth_token=self.cfg.auth_token)
-                return reply["choices"][0]["message"]["content"]
-            except (HttpStatusError, HttpTransportError, KeyError,
-                    IndexError, TypeError) as exc:
-                last = exc
-                if attempt + 1 < POST_ATTEMPTS:
-                    logger.warning("retrying judge call after %s", exc)
-        raise JudgeServiceError(f"judge endpoint failed: {last}") from last
+        try:
+            reply = post_json(self.cfg.url, payload, timeout=self.cfg.timeout,
+                              auth_token=self.cfg.auth_token)
+            return reply["choices"][0]["message"]["content"]
+        except (HttpStatusError, HttpTransportError, KeyError,
+                IndexError, TypeError) as exc:
+            raise JudgeServiceError(f"judge endpoint failed: {exc}") from exc
 
 
 # fixed-score also takes its reply as fixed-score:<n>, n in 0..10

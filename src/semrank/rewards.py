@@ -12,7 +12,9 @@ explanation texts; the rescale puts the usable range near [0, 1]. Negative
 values are floored at 0 by default (switchable for ablation); there is no
 upper clamp, values above 1.5 are only logged as anomalies.
 
-The total is the plain unweighted sum of whichever components are enabled.
+score_generation is the one entry: it parses a raw generation, embeds its
+explanation text once, and returns the plain unweighted sum of whichever
+components are enabled.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .embedder import EmbeddingProvider, cosine
-from .errors import JudgeServiceError
 from .judge import (JudgeClient, build_score_prompt, parse_score_reply,
                     parsed_judgement)
 from .text_protocol import TaggedOutput, normalize_answer, parse_tagged
@@ -172,27 +173,30 @@ def explanation_text(out: TaggedOutput, generated: str) -> str:
     return generated
 
 
-def total_reward(out: TaggedOutput, generated: str, v_gen: np.ndarray | None,
-                 ctx: RewardContext, cfg: RewardConfig = RewardConfig(),
-                 judge_client: JudgeClient | None = None) -> RewardBreakdown:
-    """Compute every enabled component and their plain, unweighted sum.
+def score_generation(generated: str, ctx: RewardContext,
+                     provider: EmbeddingProvider | None,
+                     cfg: RewardConfig = RewardConfig(),
+                     judge_client: JudgeClient | None = None) -> RewardBreakdown:
+    """Score a raw generation: parse it once, embed its explanation text once,
+    and return every enabled component and their plain, unweighted sum.
 
     Disabled components are absent (None) in the breakdown, not zero.
-    v_gen may be None only when the semantic component is disabled.
+    provider may be None only when the semantic component is disabled, and
+    judge_client only when the judge component is.
     """
+    if "semantic" in cfg.enabled and provider is None:
+        raise ValueError("semantic component enabled but no embedding provider")
+    if "judge" in cfg.enabled and judge_client is None:
+        raise ValueError("judge component enabled but no judge client given")
+    out = parse_tagged(generated)
+    text = explanation_text(out, generated)
     values: dict[str, float] = {}
     if "semantic" in cfg.enabled:
-        if v_gen is None:
-            raise ValueError("semantic component enabled but v_gen is None")
-        values["semantic"] = semantic_reward(v_gen, ctx, cfg)
+        values["semantic"] = semantic_reward(provider([text])[0], ctx, cfg)
     if "rouge" in cfg.enabled:
-        values["rouge"] = rouge_l_f1(explanation_text(out, generated),
-                                     ctx.gt_explanation)
+        values["rouge"] = rouge_l_f1(text, ctx.gt_explanation)
     if "judge" in cfg.enabled:
-        if judge_client is None:
-            raise ValueError("judge component enabled but no judge client given")
-        values["judge"] = judge_reward(explanation_text(out, generated),
-                                       ctx, judge_client)
+        values["judge"] = judge_reward(text, ctx, judge_client)
     if "answer" in cfg.enabled:
         values["answer"] = answer_reward(out, ctx)
     if "format" in cfg.enabled:
@@ -200,17 +204,3 @@ def total_reward(out: TaggedOutput, generated: str, v_gen: np.ndarray | None,
     if "think" in cfg.enabled:
         values["think"] = think_reward(out)
     return RewardBreakdown(total=sum(values.values()), **values)
-
-
-def score_generation(generated: str, ctx: RewardContext,
-                     provider: EmbeddingProvider | None,
-                     cfg: RewardConfig = RewardConfig(),
-                     judge_client: JudgeClient | None = None) -> RewardBreakdown:
-    """Parse a raw generation and score it end to end."""
-    out = parse_tagged(generated)
-    v_gen = None
-    if "semantic" in cfg.enabled:
-        if provider is None:
-            raise ValueError("semantic component enabled but no embedding provider")
-        v_gen = provider([explanation_text(out, generated)])[0]
-    return total_reward(out, generated, v_gen, ctx, cfg, judge_client)

@@ -535,6 +535,17 @@ def qa_with_first_row(tmp_path, row):
     return {}
 
 
+def prepared_then_appended(tmp_path, name, line, *stages):
+    """The synthesized inputs prepared and run through stages under the test
+    config, then line appended to out/name; no overrides."""
+    cfg = write_config(tmp_path)
+    for command in ["prepare", *stages]:
+        assert run(command, tmp_path, cfg) == 0
+    with open(tmp_path / "out" / name, "a", encoding="utf-8") as f:
+        f.write(line + "\n")
+    return {}
+
+
 def arena_with_bad_line(tmp_path, name):
     """arena_inputs with the last line of tmp_path/name not JSON."""
     inputs = arena_inputs(tmp_path)
@@ -589,12 +600,35 @@ def run(command, tmp_path, cfg):
     (lambda tmp: input_file(tmp, "gens.jsonl", "[1]"),
      ["prepare", "score --generations {tmp}/gens.jsonl"],
      ["generations file", "gens.jsonl", "row 0", "not an object"]),
+    (lambda tmp: prepared_then_appended(tmp, "train.jsonl", "{oops", "train cpt"),
+     ["train sft"], ["train split", "train.jsonl", "line", "not JSON"]),
+    (lambda tmp: prepared_then_appended(tmp, "train.jsonl", '{"question": "q"}',
+                                        "train cpt"),
+     ["train sft"], ["train split", "train.jsonl", "row", "answer"]),
+    (lambda tmp: prepared_then_appended(tmp, "corpus_chunks.jsonl", '{"nope": 1}'),
+     ["train cpt"], ["corpus chunks", "corpus_chunks.jsonl", "row", "tokens"]),
+    (lambda tmp: qa_with_first_row(tmp, {"question": "q?", "answer": "z",
+                                         "options": {"a": "x"}}),
+     ["prepare"], ["dataprep.qa_file", "qa.jsonl", "row 0", "not an option label"]),
+    (lambda tmp: qa_with_first_row(tmp, {"question": "q?", "answer": "a",
+                                         "difficulty": "hard"}),
+     ["prepare"], ["dataprep.qa_file", "qa.jsonl", "row 0", "hard"]),
+    # score strips the judge; it fails before reading the generations file
+    (lambda tmp: {"grpo": {"rewards": ["judge"]}},
+     ["score --generations {tmp}/gens.jsonl"], ["grpo.rewards"]),
+    # no checkpoint exists: the judge is built before one is read
+    (lambda tmp: {"grpo": {"rewards": ["semantic", "judge"]},
+                  "judge": {"url": "localhost:8082/v1"}},
+     ["train grpo"], ["judge.url", "localhost:8082/v1"]),
 ], ids=["empty-train-split", "corpus-without-tokens", "lora-rank-above-checkpoint",
         "empty-arena-explanation", "arena-row-without-explanation",
         "arena-row-without-item-id", "arena-item-without-item-id",
         "qa-row-without-answer", "config-not-object", "qa-line-not-json",
         "arena-item-line-not-json", "arena-model-line-not-json",
-        "generations-line-not-json", "generations-row-not-object"])
+        "generations-line-not-json", "generations-row-not-object",
+        "split-line-not-json", "split-row-without-answer", "chunk-row-without-tokens",
+        "qa-answer-not-an-option", "qa-difficulty-not-a-number",
+        "score-with-only-the-judge", "grpo-judge-url-not-a-spec"])
 def test_bad_input_exit_2_naming_it(tmp_path, capsys, overrides, commands, names):
     synth_inputs(tmp_path)
     cfg = write_config(tmp_path, **overrides(tmp_path))

@@ -1,5 +1,9 @@
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
+
 import pytest
 
+from semrank._http import POST_ATTEMPTS
 from semrank.errors import JudgeServiceError
 from semrank.judge import (HttpJudgeClient, JudgeEndpointConfig, MockJudge,
                            build_pair_prompt, build_score_prompt, extract_section,
@@ -83,6 +87,23 @@ class TestMockJudgeRules:
         assert judge.name == "mock:prefer-longer"
 
 
+class _NoChoicesHandler(BaseHTTPRequestHandler):
+    """Answers every POST 200 with a JSON body that holds no choices."""
+
+    def log_message(self, fmt, *args):
+        pass
+
+    def do_POST(self):
+        self.server.requests += 1
+        self.rfile.read(int(self.headers["Content-Length"]))
+        body = b'{"model": "stub"}'
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
 class TestHttpJudgeClient:
     def test_round_trip_through_stub(self):
         with StubServer("judge", StubBehavior(mode="fixed-score:9")) as stub:
@@ -108,6 +129,31 @@ class TestHttpJudgeClient:
                                   timeout=0.2)
         with pytest.raises(JudgeServiceError):
             HttpJudgeClient(cfg).complete("ciao")
+
+    def test_http_503_sent_post_attempts_times(self):
+        # the embed stub answers a POST to any path with its failure status
+        with StubServer("embed", StubBehavior(mode="fail-with-status",
+                                              fail_status=503)) as stub:
+            client = HttpJudgeClient(JudgeEndpointConfig(url=stub.judge_url))
+            with pytest.raises(JudgeServiceError, match="503"):
+                client.complete("ciao")
+            assert stub.stats["requests"] == POST_ATTEMPTS
+
+    def test_2xx_reply_without_choices_is_not_sent_again(self):
+        server = HTTPServer(("127.0.0.1", 0), _NoChoicesHandler)
+        server.requests = 0
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+        try:
+            with pytest.raises(JudgeServiceError, match="choices"):
+                HttpJudgeClient(JudgeEndpointConfig(url=url)).complete("ciao")
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert server.requests == 1
 
     def test_named_by_url(self):
         url = "http://127.0.0.1:1/v1/chat/completions"

@@ -1,16 +1,21 @@
 import logging
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semrank.embedder import ToyEmbedder, cosine, embed_toy
-from semrank.judge import MockJudge
-from semrank.rewards import (RewardBreakdown, RewardConfig, RewardContext,
+from semrank import embedder, judge, rewards
+from semrank.embedder import (EncoderEndpointConfig, RemoteEncoder, ToyEmbedder,
+                              cosine, embed_toy)
+from semrank.judge import HttpJudgeClient, JudgeEndpointConfig, MockJudge
+from semrank.mockserve import StubBehavior, StubServer
+from semrank.rewards import (COMPONENT_NAMES, RewardBreakdown, RewardConfig,
+                             RewardContext,
                              answer_reward, explanation_text, format_reward,
                              judge_reward, rouge_l_f1, score_generation,
-                             semantic_reward, think_reward, total_reward)
+                             semantic_reward, think_reward)
 from semrank.text_protocol import parse_tagged
 
 
@@ -259,10 +264,9 @@ class TestJudgeReward:
 class TestTotalReward:
     def test_summation_example(self):
         gen_text = "<think>t</think><spiegazione>e</spiegazione><risposta>b</risposta>"
-        out = parse_tagged(gen_text)
         gen = unit(1, 0)
         ctx = ctx_with(v_gt=unit(1, 0), v_ref=unit(0.8, 0.6), answer="b")
-        breakdown = total_reward(out, gen_text, gen, ctx)
+        breakdown = score_generation(gen_text, ctx, lambda texts: [gen])
         assert breakdown.semantic == pytest.approx(0.8)
         assert breakdown.answer == 1.0
         assert breakdown.format == 1.0
@@ -271,18 +275,17 @@ class TestTotalReward:
 
     def test_all_zero(self):
         ctx = ctx_with(unit(1, 0), unit(1, 0), answer="b")
-        breakdown = total_reward(parse_tagged(""), "", unit(0, 1), ctx)
+        breakdown = score_generation("", ctx, lambda texts: [unit(0, 1)])
         assert breakdown.total == 0.0
 
     def test_five_component_sum(self):
         gen_text = "<think>t</think><spiegazione>a c d</spiegazione><risposta>b</risposta>"
-        out = parse_tagged(gen_text)
         cfg = RewardConfig(enabled=frozenset(
             {"semantic", "rouge", "answer", "format", "think"}))
         gen = unit(1, 0)
         ctx = ctx_with(v_gt=unit(1, 0), v_ref=unit(0.8, 0.6), answer="b",
                        explanation="a b c d")
-        breakdown = total_reward(out, gen_text, gen, ctx, cfg)
+        breakdown = score_generation(gen_text, ctx, lambda texts: [gen], cfg)
         expected_rouge = rouge_f1_oracle(["a", "c", "d"], ["a", "b", "c", "d"],
                                          lcs_dp_full_matrix)
         assert breakdown.rouge == pytest.approx(expected_rouge)
@@ -291,9 +294,9 @@ class TestTotalReward:
 
     def test_disabled_components_absent_not_zero(self):
         cfg = RewardConfig(enabled=frozenset({"format", "think"}))
-        out = parse_tagged("<spiegazione>e</spiegazione><risposta>b</risposta>")
+        gen_text = "<spiegazione>e</spiegazione><risposta>b</risposta>"
         ctx = ctx_with(unit(1, 0), unit(0, 1), answer="b")
-        breakdown = total_reward(out, "", None, ctx, cfg)
+        breakdown = score_generation(gen_text, ctx, None, cfg)
         assert breakdown.semantic is None
         assert breakdown.answer is None
         assert breakdown.components() == {"format": 1.0, "think": 0.0}
@@ -337,6 +340,40 @@ class TestTotalReward:
             4 * (1 - cosine(provider([explanation])[0], ctx.v_ref)), abs=1e-9)
 
 
+class TestOneScoringPass:
+    """score_generation reaches each layer once per scored text, through the
+    module attributes a traced run wraps."""
+
+    def test_each_layer_called_once_with_all_six_components(self, monkeypatch):
+        calls = Counter()
+        for owner, name in ((rewards, "parse_tagged"), (rewards, "rouge_l_f1"),
+                            (rewards, "judge_reward"), (embedder, "post_json"),
+                            (judge, "post_json")):
+            def counted(*args, _key=f"{owner.__name__}.{name}",
+                        _original=getattr(owner, name), **kwargs):
+                calls[_key] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        explanation = "la membrana regola il trasporto"
+        ctx = RewardContext(v_gt=embed_toy(explanation, 16),
+                            v_ref=embed_toy("testo medio qualunque", 16),
+                            gt_answer="b", gt_explanation=explanation)
+        text = (f"<think>ok</think><spiegazione>{explanation}</spiegazione>"
+                f"<risposta>b</risposta>")
+        cfg = RewardConfig(enabled=frozenset(COMPONENT_NAMES))
+        with StubServer("embed", StubBehavior(mode="toy-embed", dim=16)) as embed_stub, \
+                StubServer("judge", StubBehavior(mode="fixed-score:8")) as judge_stub:
+            provider = RemoteEncoder(EncoderEndpointConfig(base_url=embed_stub.base_url))
+            client = HttpJudgeClient(JudgeEndpointConfig(url=judge_stub.judge_url))
+            breakdown = score_generation(text, ctx, provider, cfg, client)
+        assert set(breakdown.components()) == set(COMPONENT_NAMES)
+        assert breakdown.judge == 0.8 and breakdown.rouge == 1.0
+        assert calls == {f"semrank.{name}": 1 for name in (
+            "rewards.parse_tagged", "rewards.rouge_l_f1", "rewards.judge_reward",
+            "embedder.post_json", "judge.post_json")}
+        assert embed_stub.stats["requests"] == judge_stub.stats["requests"] == 1
+
+
 class TestContextValidation:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -345,13 +382,13 @@ class TestContextValidation:
 
     def test_semantic_requires_embedding(self):
         ctx = ctx_with(unit(1, 0), unit(0, 1))
-        out = parse_tagged("<spiegazione>e</spiegazione><risposta>b</risposta>")
+        gen_text = "<spiegazione>e</spiegazione><risposta>b</risposta>"
         with pytest.raises(ValueError):
-            total_reward(out, "testo", None, ctx)
+            score_generation(gen_text, ctx, None)
 
     def test_judge_requires_client(self):
         ctx = ctx_with(unit(1, 0), unit(0, 1))
-        out = parse_tagged("<spiegazione>e</spiegazione><risposta>b</risposta>")
+        gen_text = "<spiegazione>e</spiegazione><risposta>b</risposta>"
         cfg = RewardConfig(enabled=frozenset({"judge"}))
         with pytest.raises(ValueError):
-            total_reward(out, "testo", None, ctx, cfg)
+            score_generation(gen_text, ctx, None, cfg)
