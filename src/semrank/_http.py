@@ -60,20 +60,16 @@ class _PerThread(threading.local):
 
 _connections = _PerThread()
 
-# What a kept-alive connection raises when the peer closed it while it sat
-# idle: the request never got a reply, so sending it again is safe.
-_STALE = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
-
 
 def _connection(parts: urllib.parse.SplitResult,
                 timeout: float) -> http.client.HTTPConnection:
     origin = (parts.scheme, parts.netloc)
     pool = _connections.pool
+    # the peer may close a kept-alive connection at any time (RFC 9112,
+    # section 9.3.1): check them all before each post
+    pool.drop_closed()
     conn = pool.get(origin)
     if conn is None:
-        # a new endpoint: the ones whose servers have gone would otherwise
-        # hold their sockets until the thread ends
-        pool.drop_closed()
         cls = (http.client.HTTPSConnection if parts.scheme == "https"
                else http.client.HTTPConnection)
         conn = pool[origin] = cls(parts.netloc, timeout=timeout)
@@ -83,27 +79,12 @@ def _connection(parts: urllib.parse.SplitResult,
     return conn
 
 
-def _exchange(conn: http.client.HTTPConnection, target: str, body: bytes,
-              headers: dict) -> http.client.HTTPResponse:
-    """Send one POST and read its status line and headers, reconnecting once
-    if a reused connection turns out to have been closed by the peer."""
-    reused = conn.sock is not None
-    try:
-        conn.request("POST", target, body, headers)
-        return conn.getresponse()
-    except _STALE:
-        if not reused:
-            raise
-        conn.close()  # the next request() opens a fresh socket
-        conn.request("POST", target, body, headers)
-        return conn.getresponse()
-
-
 def _post_once(conn: http.client.HTTPConnection, url: str, target: str,
                body: bytes, headers: dict) -> dict:
     """One try of post_json over conn."""
     try:
-        resp = _exchange(conn, target, body, headers)
+        conn.request("POST", target, body, headers)
+        resp = conn.getresponse()
         raw = resp.read()  # read in full, even on error, so the connection stays usable
     except (http.client.HTTPException, OSError) as exc:
         conn.close()
@@ -122,8 +103,8 @@ def post_json(url: str, payload: dict, timeout: float,
 
     A non-2xx reply (HttpStatusError) or a transport or decode failure
     (HttpTransportError) is sent again, POST_ATTEMPTS tries in all, and the
-    last failure is raised; a URL that is not http(s) raises at once. The
-    silent reconnect of a stale kept-alive connection is not a try.
+    last failure is raised; a URL that is not http(s) raises at once. So a
+    post reaches the server at most POST_ATTEMPTS times, whatever failed.
     """
     parts = urllib.parse.urlsplit(url)
     if parts.scheme not in ("http", "https") or not parts.hostname:

@@ -529,9 +529,12 @@ def cmd_score(cfg: dict, generations_file: str) -> int:
     contexts = build_reward_contexts(list(qa_items.values()), train_items, provider,
                                      cfg["grpo"]["centroid_sample"], cfg["seed"])
     rows = []
-    for row in _rows(gen_path, "generations file", ()):
+    for i, row in enumerate(_rows(gen_path, "generations file", ())):
         item_id = str(row.get("item_id"))
         text = row.get("text", "")
+        if not isinstance(text, str):
+            raise ConfigError(f"generations file {gen_path}: row {i}: text {text!r} "
+                              "is not a string")
         if item_id not in contexts:
             rows.append({"item_id": item_id, "error": "missing_ground_truth"})
             continue

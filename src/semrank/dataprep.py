@@ -82,6 +82,13 @@ class QaItem:
     item_id: str = ""
 
     def __post_init__(self):
+        for name in ("question", "answer", "rationale", "subject", "topic", "subtopic"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
+        if not (isinstance(self.options, dict) and all(
+                isinstance(k, str) and isinstance(v, str) for k, v in self.options.items())):
+            raise ValueError(f"options must map strings to strings, got {self.options!r}")
         if self.options and self.answer not in self.options:
             raise ValueError(
                 f"gold answer {self.answer!r} is not an option label "

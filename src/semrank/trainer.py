@@ -310,8 +310,9 @@ def run_grpo(state: TrainState, dataset: Sequence[GrpoItem], score_fn: ScoreFn,
                 logger.info("grpo step %d: mean_total=%.4f loss=%.5f kl=%.5f",
                             metrics["step"], metrics["mean_total"],
                             metrics["loss"], metrics["mean_kl"])
+            # the last step's checkpoint is the one the finally clause writes
             if out_dir is not None and cfg.checkpoint_interval > 0 \
-                    and (step + 1) % cfg.checkpoint_interval == 0:
+                    and (step + 1) % cfg.checkpoint_interval == 0 and step + 1 < cfg.steps:
                 policy.save_checkpoint(state.params, out_dir / f"step{step + 1}.ckpt",
                                        extra={"seed": cfg.seed, "step": step + 1})
     finally:

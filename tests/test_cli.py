@@ -155,6 +155,9 @@ class TestTrain:
         assert (out / "cpt_muon" / "metrics.csv").exists()
         header = (out / "cpt_ablation.csv").read_text().splitlines()[0]
         assert header == "step,loss_adamw,loss_muon"
+        assert main(["report", "--config", str(cfg)]) == 0
+        svg = (out / "cpt_ablation.svg").read_text()
+        assert "loss_adamw" in svg and "loss_muon" in svg
 
     def test_stage_lr_is_each_epochs_last_step_rate(self, prepared, tmp_path):
         _, out = prepared
@@ -248,6 +251,27 @@ class TestScoreAndReport:
             assert expected.semantic > 0
             assert float(row["semantic"]) == expected.semantic
             assert float(row["total"]) == expected.total
+
+    def test_generation_text_is_a_string_or_absent(self, trained, tmp_path, capsys):
+        cfg, out = trained
+        item_id = read_jsonl(out / "train.jsonl")[0]["item_id"]
+        gens = [{"item_id": item_id}, {"item_id": item_id, "text": ""}]
+        gen_path = tmp_path / "gens.jsonl"
+        gen_path.write_text("\n".join(json.dumps(g) for g in gens))
+        argv = ["score", "--config", str(cfg), "--generations", str(gen_path)]
+        assert main(argv) == 0
+        with open(out / "rewards.csv", newline="") as f:
+            without_text, empty = csv.DictReader(f)
+        assert without_text == empty and empty["error"] == ""
+        (out / "rewards.csv").unlink()
+        gens.append({"item_id": item_id, "text": 5})
+        gen_path.write_text("\n".join(json.dumps(g) for g in gens))
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in ("generations file", "gens.jsonl", "row 2",
+                                            "text", "string")) and "Traceback" not in err
+        assert not (out / "rewards.csv").exists()
 
     def test_report_renders_svgs(self, trained, tmp_path):
         cfg, out = trained
@@ -613,6 +637,17 @@ def run(command, tmp_path, cfg):
     (lambda tmp: qa_with_first_row(tmp, {"question": "q?", "answer": "a",
                                          "difficulty": "hard"}),
      ["prepare"], ["dataprep.qa_file", "qa.jsonl", "row 0", "hard"]),
+    (lambda tmp: qa_with_first_row(tmp, {"question": "q?", "answer": "a",
+                                         "rationale": 7}),
+     ["prepare"], ["dataprep.qa_file", "qa.jsonl", "row 0", "rationale", "string"]),
+    (lambda tmp: qa_with_first_row(tmp, {"question": ["q?"], "answer": "a"}),
+     ["prepare"], ["dataprep.qa_file", "qa.jsonl", "row 0", "question", "string"]),
+    (lambda tmp: qa_with_first_row(tmp, {"question": "q?", "answer": "a",
+                                         "options": {"a": 1}}),
+     ["prepare"], ["dataprep.qa_file", "qa.jsonl", "row 0", "options"]),
+    (lambda tmp: prepared_then_appended(
+        tmp, "train.jsonl", '{"question": "q", "answer": "a", "rationale": 7}', "train cpt"),
+     ["train sft"], ["train split", "train.jsonl", "row", "rationale", "string"]),
     # score strips the judge; it fails before reading the generations file
     (lambda tmp: {"grpo": {"rewards": ["judge"]}},
      ["score --generations {tmp}/gens.jsonl"], ["grpo.rewards"]),
@@ -628,6 +663,8 @@ def run(command, tmp_path, cfg):
         "generations-line-not-json", "generations-row-not-object",
         "split-line-not-json", "split-row-without-answer", "chunk-row-without-tokens",
         "qa-answer-not-an-option", "qa-difficulty-not-a-number",
+        "qa-rationale-not-a-string", "qa-question-not-a-string",
+        "qa-options-not-strings", "split-rationale-not-a-string",
         "score-with-only-the-judge", "grpo-judge-url-not-a-spec"])
 def test_bad_input_exit_2_naming_it(tmp_path, capsys, overrides, commands, names):
     synth_inputs(tmp_path)

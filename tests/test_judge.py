@@ -78,6 +78,16 @@ class TestMockJudgeRules:
         disjoint = build_score_prompt("parole nuove", "altre frasi qui")
         assert judge_reply("prefer-lexical-overlap", disjoint) == "0"
 
+    @pytest.mark.parametrize("mode,candidate,want", [
+        ("prefer-longer", "una spiegazione lunga", "10"),
+        ("prefer-longer", "corta", "3"),
+        ("prefer-shorter", "corta", "10"),
+        ("prefer-shorter", "una spiegazione lunga", "3"),
+    ])
+    def test_score_rubric_length_grading(self, mode, candidate, want):
+        prompt = build_score_prompt(candidate, "riferimento")
+        assert judge_reply(mode, prompt) == want
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             judge_reply("prefer-vibes", build_score_prompt("a", "b"))

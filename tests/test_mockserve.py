@@ -8,13 +8,16 @@ import pytest
 
 from semrank import _http
 from semrank.embedder import embed_toy
-from semrank.mockserve import StubBehavior, StubServer
+from semrank.mockserve import DEFAULT_MODES, StubBehavior, StubServer
 
 
 def post_json(url, payload):
+    return post_bytes(url, json.dumps(payload).encode())
+
+
+def post_bytes(url, body):
     req = urllib.request.Request(
-        url, data=json.dumps(payload).encode(),
-        headers={"Content-Type": "application/json"}, method="POST")
+        url, data=body, headers={"Content-Type": "application/json"}, method="POST")
     try:
         with urllib.request.urlopen(req, timeout=10) as resp:
             return json.loads(resp.read().decode())
@@ -97,6 +100,19 @@ class TestJudgeStub:
                 results = list(pool.map(one, range(24)))
             assert results == ["5"] * 24
             assert stub.stats["requests"] == 24
+
+
+@pytest.mark.parametrize("kind,body", [
+    ("embed", b"{not json"),
+    ("judge", b"{not json"),
+    ("judge", json.dumps({"model": "stub"}).encode()),
+], ids=["embed-not-json", "judge-not-json", "judge-without-messages"])
+def test_bad_body_is_400(kind, body):
+    with StubServer(kind, StubBehavior(mode=DEFAULT_MODES[kind])) as stub:
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post_bytes(f"{stub.base_url}/{kind}", body)
+        assert excinfo.value.code == 400
+        assert stub.stats["requests"] == 1
 
 
 class TestLifecycle:

@@ -256,6 +256,7 @@ class TestJudgeReward:
         ctx = ctx_with(unit(1, 0), unit(0, 1))
         with caplog.at_level(logging.WARNING, logger="semrank.rewards"):
             assert judge_reward("x", ctx, Garbage()) == 0.0
+            assert judge_reward("x", ctx, MockJudge("garbage")) == 0.0
         assert len(calls) == 2
 
 

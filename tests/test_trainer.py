@@ -341,6 +341,23 @@ class TestRunGrpo:
         names = sorted(p.name for p in tmp_path.glob("*.ckpt"))
         assert names == ["step2.ckpt", "step4.ckpt"]
 
+    @pytest.mark.parametrize("steps,saved", [(4, ["step2.ckpt", "step4.ckpt"]),
+                                             (3, ["step2.ckpt", "step3.ckpt"])])
+    def test_each_checkpoint_written_once(self, tmp_path, monkeypatch, steps, saved):
+        calls = []
+        save = policy.save_checkpoint
+
+        def counting_save(params, path, **kwargs):
+            calls.append(path.name)
+            save(params, path, **kwargs)
+
+        monkeypatch.setattr(policy, "save_checkpoint", counting_save)
+        cfg = GrpoConfig(group_size=2, steps=steps, prompts_per_step=1,
+                         max_new_tokens=4, seed=7, checkpoint_interval=2)
+        run_grpo(make_state(seed=17), [GrpoItem("a", (1,))], length_score,
+                 decode_ids, cfg, out_dir=tmp_path)
+        assert calls == saved
+
     def test_reference_frozen_through_run(self):
         state = make_state(seed=18)
         ref_digest = state.ref_params.digest()
