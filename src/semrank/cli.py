@@ -15,6 +15,7 @@ import inspect
 import json
 import logging
 import math
+import os
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -245,10 +246,12 @@ def _require_path(value, what: str) -> Path:
     return p
 
 
-def _rows(path: Path, what: str, required: tuple[str, ...]) -> list[dict]:
+def _rows(path: Path, what: str, required: tuple[str, ...],
+          strings: tuple[str, ...] = ()) -> list[dict]:
     """The rows of a JSON-lines input file; a line that is not JSON, or a row
-    that is not an object or lacks a required field, raises ConfigError
-    naming what, the file and the line or the row's index."""
+    that is not an object, lacks a required field or holds a non-string in
+    one of strings, raises ConfigError naming what, the file and the line or
+    the row's index."""
     try:
         rows = dataprep.read_jsonl(path)
     except ValueError as exc:
@@ -259,6 +262,9 @@ def _rows(path: Path, what: str, required: tuple[str, ...]) -> list[dict]:
         missing = [key for key in required if key not in row]
         if missing:
             raise ConfigError(f"{what} {path}: row {i} has no {', '.join(missing)}")
+        wrong = [key for key in strings if key in row and not isinstance(row[key], str)]
+        if wrong:
+            raise ConfigError(f"{what} {path}: row {i}: {', '.join(wrong)} is not a string")
     return rows
 
 
@@ -274,25 +280,44 @@ def _qa_items(path: Path, what: str) -> list[dataprep.QaItem]:
     return items
 
 
+def _service_url(url: str | None, key: str, var: str) -> str:
+    """url, the value of config key, else the environment variable var;
+    neither set raises ConfigError naming both."""
+    url = url or os.environ.get(var)
+    if not url:
+        raise ConfigError(f"config key {key!r} is not set, nor is {var}")
+    return url
+
+
 def _provider(cfg: dict):
-    """The embedder section's provider; a remote one takes its URL (else
-    SEMRANK_EMBED_URL) and SEMRANK_EMBED_TOKEN, and without a URL raises
-    ConfigError."""
+    """The embedder section's provider; a remote one posts to its base_url
+    (else SEMRANK_EMBED_URL) with SEMRANK_EMBED_TOKEN, and a URL that is
+    missing or not http(s) raises ConfigError."""
     ec = cfg["embedder"]
-    if ec["kind"] == "remote":
-        return RemoteEncoder(_build(
-            "key embedder.base_url", EncoderEndpointConfig.from_env,
-            base_url=ec["base_url"], timeout=ec["timeout"], batch_size=ec["batch_size"]))
-    return ToyEmbedder(d=ec["dim"])
+    if ec["kind"] != "remote":
+        return ToyEmbedder(d=ec["dim"])
+    url = _service_url(ec["base_url"], "embedder.base_url", "SEMRANK_EMBED_URL")
+    if not url.startswith(("http://", "https://")):
+        raise ConfigError(f"config key 'embedder.base_url' (else SEMRANK_EMBED_URL) "
+                          f"must be an http(s) URL, got {url!r}")
+    return RemoteEncoder(EncoderEndpointConfig(
+        base_url=url, timeout=ec["timeout"], batch_size=ec["batch_size"],
+        auth_token=os.environ.get("SEMRANK_EMBED_TOKEN")))
 
 
-def judge_endpoint(cfg: dict, url: str | None = None) -> JudgeEndpointConfig:
-    """The judge section as an endpoint: its url (else `url`, else
-    SEMRANK_JUDGE_URL), its model (else SEMRANK_JUDGE_MODEL, else
-    JudgeEndpointConfig's default), its timeout. No URL raises ConfigError."""
+def _judge(cfg: dict, spec: str | None = None):
+    """The judge of an arena.judges spec, else of judge.url (else
+    SEMRANK_JUDGE_URL); an HTTP one takes the judge section's model (else
+    SEMRANK_JUDGE_MODEL, else JudgeEndpointConfig's), its timeout and
+    SEMRANK_JUDGE_TOKEN. No URL, or a bad spec, raises ConfigError."""
     jc = cfg["judge"]
-    return _build("key judge.url", JudgeEndpointConfig.from_env, url=jc["url"] or url,
-                  model=jc["model"], timeout=jc["timeout"])
+    key = "arena.judges" if spec else "judge.url"
+    spec = spec or _service_url(jc["url"], "judge.url", "SEMRANK_JUDGE_URL")
+    model = jc["model"] or os.environ.get("SEMRANK_JUDGE_MODEL") or _JUDGE["model"]
+    endpoint = None if spec.startswith("mock:") else JudgeEndpointConfig(
+        url=spec, model=model, timeout=jc["timeout"],
+        auth_token=os.environ.get("SEMRANK_JUDGE_TOKEN"))
+    return _build(f"key {key}", make_judge, spec, endpoint)
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +465,7 @@ def _run_grpo(cfg: dict, out_dir: Path) -> Path:
     grpo_cfg, reward_cfg, lora_cfg = grpo_settings(cfg)
     # the services first: a missing URL fails before any file is read
     provider = _provider(cfg)
-    judge_client = None
-    if "judge" in reward_cfg.enabled:
-        endpoint = judge_endpoint(cfg)
-        judge_client = _build("key judge.url", make_judge, endpoint.url, endpoint)
+    judge_client = _judge(cfg) if "judge" in reward_cfg.enabled else None
     init = gc["init_checkpoint"] or (out_dir / "sft" / "final.ckpt")
     init = _require_path(init, "grpo.init_checkpoint (upstream SFT checkpoint)")
     base, init_extra = policy.load_checkpoint(init)
@@ -529,12 +551,9 @@ def cmd_score(cfg: dict, generations_file: str) -> int:
     contexts = build_reward_contexts(list(qa_items.values()), train_items, provider,
                                      cfg["grpo"]["centroid_sample"], cfg["seed"])
     rows = []
-    for i, row in enumerate(_rows(gen_path, "generations file", ())):
+    for row in _rows(gen_path, "generations file", (), ("text",)):
         item_id = str(row.get("item_id"))
         text = row.get("text", "")
-        if not isinstance(text, str):
-            raise ConfigError(f"generations file {gen_path}: row {i}: text {text!r} "
-                              "is not a string")
         if item_id not in contexts:
             rows.append({"item_id": item_id, "error": "missing_ground_truth"})
             continue
@@ -558,20 +577,21 @@ def cmd_arena(cfg: dict) -> int:
     ac = cfg["arena"]
     items_path = _require_path(ac["items_file"], "arena.items_file")
     models_dir = _require_path(ac["models_dir"], "arena.models_dir")
-    items = _rows(items_path, "arena.items_file", ("item_id",))
+    items = _rows(items_path, "arena.items_file", ("item_id",), ("question", "answer"))
 
     models: dict[str, dict[str, str]] = {}
     answers: dict[str, dict[str, TaggedOutput]] = {}
     for model_file in sorted(models_dir.glob("*.jsonl")):
         name = model_file.stem
-        rows = _rows(model_file, "arena.models_dir", ("item_id",))
+        rows = _rows(model_file, "arena.models_dir", ("item_id",),
+                     ("answer", "explanation"))
         models[name] = {str(r["item_id"]): r.get("explanation") for r in rows}
         answers[name] = {str(r["item_id"]): TaggedOutput(risposta=r.get("answer", ""))
                          for r in rows}
     gold = {str(it["item_id"]): it["answer"] for it in items if "answer" in it}
     accuracies = {name: arena_mod.evaluate_accuracy(answers[name], gold)
                   for name in models} if gold else {}
-    judges = [make_judge(spec, judge_endpoint(cfg, url=spec)) for spec in ac["judges"]]
+    judges = [_judge(cfg, spec) for spec in ac["judges"]]
     # run_tournament checks the models, the items and their coverage
     report = _build("keys arena.items_file, arena.models_dir", arena_mod.run_tournament,
                     models, items, judges, k=ac["k_factor"], seed=cfg["seed"],
@@ -625,8 +645,8 @@ def cmd_report(cfg: dict) -> int:
 
 def serve_stub(args: argparse.Namespace) -> mockserve.StubServer:
     """The unstarted stub that `semrank serve` runs, in its kind's default
-    mode when --mode is not given. A mode the kind does not serve raises
-    ConfigError before any port is bound."""
+    mode when --mode is not given. A mode the kind does not serve, or a
+    dimension embed_toy rejects, raises ConfigError before binding a port."""
     mode = args.mode or mockserve.DEFAULT_MODES[args.kind]
     behavior = mockserve.StubBehavior(mode=mode, fail_status=args.fail_status,
                                       dim=args.dim)

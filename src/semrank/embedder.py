@@ -11,7 +11,6 @@ values and the dimension d.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -19,9 +18,6 @@ import numpy as np
 
 from ._http import HttpStatusError, HttpTransportError, post_json
 from .errors import DegenerateVectorError, EmbeddingServiceError
-
-EMBED_URL_ENV = "SEMRANK_EMBED_URL"
-EMBED_TOKEN_ENV = "SEMRANK_EMBED_TOKEN"
 
 # Sample size for the dataset reference centroid; seeded draw, configurable.
 DEFAULT_CENTROID_SAMPLE = 256
@@ -131,14 +127,6 @@ class EncoderEndpointConfig:
             raise ValueError("batch_size must be >= 1")
         if not self.timeout > 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
-
-    @classmethod
-    def from_env(cls, **overrides) -> "EncoderEndpointConfig":
-        url = overrides.pop("base_url", None) or os.environ.get(EMBED_URL_ENV)
-        if not url:
-            raise ValueError(f"no encoder URL: set {EMBED_URL_ENV} or pass base_url")
-        token = overrides.pop("auth_token", None) or os.environ.get(EMBED_TOKEN_ENV)
-        return cls(base_url=url, auth_token=token, **overrides)
 
 
 class RemoteEncoder:

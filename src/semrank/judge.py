@@ -11,7 +11,6 @@ cannot drift.
 from __future__ import annotations
 
 import logging
-import os
 import re
 from dataclasses import dataclass, replace
 from typing import Callable, Protocol, TypeVar
@@ -21,10 +20,6 @@ from .errors import JudgeServiceError
 from .tokenizers import word_tokenize
 
 logger = logging.getLogger(__name__)
-
-JUDGE_URL_ENV = "SEMRANK_JUDGE_URL"
-JUDGE_TOKEN_ENV = "SEMRANK_JUDGE_TOKEN"
-JUDGE_MODEL_ENV = "SEMRANK_JUDGE_MODEL"
 
 # Rubric templates, used verbatim. The bracketed section markers double as
 # the extraction anchors for the deterministic stub judges.
@@ -125,6 +120,8 @@ def parsed_judgement(client: JudgeClient, prompt: str,
 
 @dataclass
 class JudgeEndpointConfig:
+    """Client settings for a judge endpoint."""
+
     url: str
     model: str = "judge"
     timeout: float = 60.0
@@ -133,15 +130,6 @@ class JudgeEndpointConfig:
     def __post_init__(self):
         if not self.timeout > 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
-
-    @classmethod
-    def from_env(cls, **overrides) -> "JudgeEndpointConfig":
-        url = overrides.pop("url", None) or os.environ.get(JUDGE_URL_ENV)
-        if not url:
-            raise ValueError(f"no judge URL: set {JUDGE_URL_ENV} or pass url")
-        token = overrides.pop("auth_token", None) or os.environ.get(JUDGE_TOKEN_ENV)
-        model = overrides.pop("model", None) or os.environ.get(JUDGE_MODEL_ENV) or cls.model
-        return cls(url=url, model=model, auth_token=token, **overrides)
 
 
 class HttpJudgeClient:
@@ -242,10 +230,10 @@ class MockJudge:
 
 
 def make_judge(spec: str, cfg: JudgeEndpointConfig | None = None) -> JudgeClient:
-    """Judge factory for --judges entries: 'mock:<mode>' or 'http[s]://...'."""
+    """Judge factory for --judges entries: 'mock:<mode>', or 'http[s]://...'
+    with cfg's other settings (JudgeEndpointConfig's defaults without cfg)."""
     if spec.startswith("mock:"):
         return MockJudge(spec.split(":", 1)[1])
     if spec.startswith(("http://", "https://")):
-        base = cfg or JudgeEndpointConfig.from_env(url=spec)
-        return HttpJudgeClient(replace(base, url=spec))
+        return HttpJudgeClient(replace(cfg or JudgeEndpointConfig(url=spec), url=spec))
     raise ValueError(f"unknown judge spec: {spec!r}")

@@ -29,12 +29,14 @@ class StubBehavior:
     dim: int = DEFAULT_TOY_DIM
 
 
-def _check_mode(kind: str, mode: str) -> None:
+def _check_behavior(kind: str, behavior: StubBehavior) -> None:
     if kind == "judge":
-        check_judge_mode(mode)
-    elif mode not in EMBED_MODES:
-        raise ValueError(f"unknown embed mode {mode!r}; expected one of "
+        check_judge_mode(behavior.mode)
+    elif behavior.mode not in EMBED_MODES:
+        raise ValueError(f"unknown embed mode {behavior.mode!r}; expected one of "
                          f"{list(EMBED_MODES)}")
+    else:
+        embed_toy("", behavior.dim)  # raises on a dimension embed_toy rejects
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -141,15 +143,16 @@ class StubServer:
     """A stub on 127.0.0.1, serving once started; use as a context manager
     in tests.
 
-    A kind or mode it does not serve raises ValueError before the port is
-    bound. stats counts requests and accepted connections, and records
-    per-request batch sizes and Authorization headers.
+    A kind, mode or embedding dimension it does not serve raises
+    ValueError before the port is bound. stats counts requests and accepted
+    connections, and records per-request batch sizes and Authorization
+    headers.
     """
 
     def __init__(self, kind: str, behavior: StubBehavior, port: int = 0):
         if kind not in DEFAULT_MODES:
             raise ValueError(f"kind must be embed or judge, got {kind!r}")
-        _check_mode(kind, behavior.mode)
+        _check_behavior(kind, behavior)
         self.kind = kind
         self.behavior = behavior
         self.stats = {"requests": 0, "connections": 0, "batch_sizes": [],

@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 from semrank import cli
 from semrank._http import post_json
 from semrank.arena import AGGREGATE_COLUMNS, RATINGS_COLUMNS
-from semrank.cli import (SCORE_COLUMNS, STAGE_COLUMNS, _provider, build_parser,
-                         judge_endpoint, load_config, main, serve_stub)
+from semrank.cli import (SCORE_COLUMNS, STAGE_COLUMNS, _judge, _provider,
+                         build_parser, load_config, main, serve_stub)
 from semrank.dataprep import read_jsonl
 from semrank.embedder import RemoteEncoder
 from semrank.errors import ConfigError
 from semrank.judge import build_score_prompt
+from semrank.mockserve import StubBehavior, StubServer
 from semrank.optim import lr_at
 from semrank.policy import load_checkpoint, save_checkpoint
 from semrank.trainer import METRICS_COLUMNS
@@ -655,6 +656,29 @@ def run(command, tmp_path, cfg):
     (lambda tmp: {"grpo": {"rewards": ["semantic", "judge"]},
                   "judge": {"url": "localhost:8082/v1"}},
      ["train grpo"], ["judge.url", "localhost:8082/v1"]),
+    # the encoder is built before the splits or a checkpoint are read
+    (lambda tmp: {"embedder": {"kind": "remote", "base_url": "ftp://127.0.0.1:9"}},
+     ["prepare", "train cpt", "train sft", "train grpo --embedder remote"],
+     ["embedder.base_url", "ftp://127.0.0.1:9"]),
+    (lambda tmp: {**input_file(tmp, "gens.jsonl", '{"item_id": "x", "text": "t"}'),
+                  "embedder": {"kind": "remote", "base_url": "ftp://127.0.0.1:9"}},
+     ["prepare", "score --generations {tmp}/gens.jsonl --embedder remote"],
+     ["embedder.base_url", "ftp://127.0.0.1:9"]),
+    (lambda tmp: arena_with_last_item(tmp, {"item_id": "i2", "question": "q?",
+                                            "answer": 5}),
+     ["arena"], ["arena.items_file", "items.jsonl", "row 2", "answer", "string"]),
+    (lambda tmp: arena_with_last_item(tmp, {"item_id": "i2", "question": "q?",
+                                            "answer": None}),
+     ["arena"], ["arena.items_file", "items.jsonl", "row 2", "answer", "string"]),
+    (lambda tmp: arena_with_last_item(tmp, {"item_id": "i2", "question": 5}),
+     ["arena"], ["arena.items_file", "items.jsonl", "row 2", "question", "string"]),
+    (lambda tmp: arena_with_last_row(tmp, {"item_id": "i2", "answer": 7,
+                                           "explanation": "x"}),
+     ["arena"], ["arena.models_dir", "conciso.jsonl", "row 2", "answer", "string"]),
+    (lambda tmp: arena_with_last_row(tmp, {"item_id": "i2", "answer": "a",
+                                           "explanation": 7}),
+     ["arena"], ["arena.models_dir", "conciso.jsonl", "row 2", "explanation",
+                 "string"]),
 ], ids=["empty-train-split", "corpus-without-tokens", "lora-rank-above-checkpoint",
         "empty-arena-explanation", "arena-row-without-explanation",
         "arena-row-without-item-id", "arena-item-without-item-id",
@@ -665,7 +689,11 @@ def run(command, tmp_path, cfg):
         "qa-answer-not-an-option", "qa-difficulty-not-a-number",
         "qa-rationale-not-a-string", "qa-question-not-a-string",
         "qa-options-not-strings", "split-rationale-not-a-string",
-        "score-with-only-the-judge", "grpo-judge-url-not-a-spec"])
+        "score-with-only-the-judge", "grpo-judge-url-not-a-spec",
+        "grpo-encoder-url-not-http", "score-encoder-url-not-http",
+        "arena-item-answer-not-a-string", "arena-item-answer-null",
+        "arena-item-question-not-a-string", "arena-model-answer-not-a-string",
+        "arena-model-explanation-not-a-string"])
 def test_bad_input_exit_2_naming_it(tmp_path, capsys, overrides, commands, names):
     synth_inputs(tmp_path)
     cfg = write_config(tmp_path, **overrides(tmp_path))
@@ -769,26 +797,57 @@ class TestProvider:
         assert provider.cfg.auth_token == "secret"
 
 
+def test_encoder_url_from_env_must_be_http(monkeypatch):
+    monkeypatch.setenv("SEMRANK_EMBED_URL", "ftp://127.0.0.1:9")
+    with pytest.raises(ConfigError, match="embedder.base_url.*ftp://127.0.0.1:9"):
+        _provider(load_config(None, {"embedder.kind": "remote"}))
+
+
 class TestJudgeEndpoint:
     URL = "http://127.0.0.1:9/v1/chat/completions"
 
     def test_env_model_applies_to_default_config(self, monkeypatch):
         monkeypatch.setenv("SEMRANK_JUDGE_MODEL", "big")
-        assert judge_endpoint(load_config(None), url=self.URL).model == "big"
+        assert _judge(load_config(None), self.URL).cfg.model == "big"
 
     def test_config_model_wins_over_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEMRANK_JUDGE_MODEL", "big")
         cfg = load_config(str(write_config(
             tmp_path, judge={"url": self.URL, "model": "small"})))
-        assert judge_endpoint(cfg).model == "small"
+        assert _judge(cfg).cfg.model == "small"
 
     def test_no_model_anywhere_takes_dataclass_default(self, monkeypatch):
         monkeypatch.delenv("SEMRANK_JUDGE_MODEL", raising=False)
-        assert judge_endpoint(load_config(None), url=self.URL).model == "judge"
+        assert _judge(load_config(None), self.URL).cfg.model == "judge"
 
     def test_env_url_applies_when_config_sets_none(self, monkeypatch):
         monkeypatch.setenv("SEMRANK_JUDGE_URL", self.URL)
-        assert judge_endpoint(load_config(None)).url == self.URL
+        assert _judge(load_config(None)).cfg.url == self.URL
+
+
+class TestJudgeToken:
+    """Every HTTP judge the CLI builds sends SEMRANK_JUDGE_TOKEN as a bearer
+    token."""
+
+    def test_grpo_judge_sends_the_token(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SEMRANK_JUDGE_TOKEN", "segreto")
+        synth_inputs(tmp_path)
+        with StubServer("judge", StubBehavior(mode="fixed-score:5")) as stub:
+            cfg = write_config(tmp_path, grpo={"rewards": ["semantic", "judge"]},
+                               judge={"url": stub.judge_url})
+            for command in ("prepare", "train cpt", "train sft", "train grpo"):
+                assert run(command, tmp_path, cfg) == 0
+        assert stub.stats["requests"] > 0
+        assert set(stub.stats["auth_headers"]) == {"Bearer segreto"}
+
+    def test_arena_url_judge_sends_the_token(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SEMRANK_JUDGE_TOKEN", "segreto")
+        with StubServer("judge", StubBehavior(mode="prefer-longer")) as stub:
+            cfg = write_config(tmp_path, arena={**arena_inputs(tmp_path),
+                                                "judges": [stub.judge_url]})
+            assert main(["arena", "--config", str(cfg)]) == 0
+        assert stub.stats["requests"] > 0
+        assert set(stub.stats["auth_headers"]) == {"Bearer segreto"}
 
 
 class TestServe:
@@ -801,6 +860,12 @@ class TestServe:
     def test_mode_the_kind_does_not_serve_exit_2(self, capsys, kind, mode):
         assert main(["serve", kind, "--mode", mode, "--port", "0"]) == 2
         assert mode in capsys.readouterr().err
+
+    def test_embedding_dimension_embed_toy_rejects_exit_2(self):
+        # through serve_stub: were the check missing, main would serve forever
+        args = build_parser().parse_args(["serve", "embed", "--dim", "4", "--port", "0"])
+        with pytest.raises(ConfigError, match="dimension must be >= 8, got 4"):
+            serve_stub(args)
 
     def test_default_judge_mode_answers_a_scoring_prompt(self):
         args = build_parser().parse_args(["serve", "judge", "--port", "0"])

@@ -233,19 +233,6 @@ class TestRemoteEncoderContracts:
             RemoteEncoder(EncoderEndpointConfig(base_url=stub.base_url)).embed(["x"])
             assert stub.stats["auth_headers"] == [None]
 
-    def test_env_configuration(self, monkeypatch):
-        monkeypatch.setenv("SEMRANK_EMBED_URL", "http://encoder.test")
-        monkeypatch.setenv("SEMRANK_EMBED_TOKEN", "chiave")
-        cfg = EncoderEndpointConfig.from_env(batch_size=5)
-        assert cfg.base_url == "http://encoder.test"
-        assert cfg.auth_token == "chiave"
-        assert cfg.batch_size == 5
-
-    def test_env_missing_url_rejected(self, monkeypatch):
-        monkeypatch.delenv("SEMRANK_EMBED_URL", raising=False)
-        with pytest.raises(ValueError):
-            EncoderEndpointConfig.from_env()
-
     def test_dimension_drift_between_batches_rejected(self):
         client = RemoteEncoder(EncoderEndpointConfig(base_url="http://x"))
         client._parse_batch({"embeddings": [[1.0, 0.0]], "dim": 2}, ["a"], 0)

@@ -1,7 +1,5 @@
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
-
 import pytest
+from scripted_server import ScriptedServer, reply
 
 from semrank._http import POST_ATTEMPTS
 from semrank.errors import JudgeServiceError
@@ -97,23 +95,6 @@ class TestMockJudgeRules:
         assert judge.name == "mock:prefer-longer"
 
 
-class _NoChoicesHandler(BaseHTTPRequestHandler):
-    """Answers every POST 200 with a JSON body that holds no choices."""
-
-    def log_message(self, fmt, *args):
-        pass
-
-    def do_POST(self):
-        self.server.requests += 1
-        self.rfile.read(int(self.headers["Content-Length"]))
-        body = b'{"model": "stub"}'
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-
 class TestHttpJudgeClient:
     def test_round_trip_through_stub(self):
         with StubServer("judge", StubBehavior(mode="fixed-score:9")) as stub:
@@ -150,19 +131,9 @@ class TestHttpJudgeClient:
             assert stub.stats["requests"] == POST_ATTEMPTS
 
     def test_2xx_reply_without_choices_is_not_sent_again(self):
-        server = HTTPServer(("127.0.0.1", 0), _NoChoicesHandler)
-        server.requests = 0
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
-        try:
+        with ScriptedServer(reply(200, {"model": "stub"})) as server:
             with pytest.raises(JudgeServiceError, match="choices"):
-                HttpJudgeClient(JudgeEndpointConfig(url=url)).complete("ciao")
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
-        assert not thread.is_alive()
+                HttpJudgeClient(JudgeEndpointConfig(url=server.url)).complete("ciao")
         assert server.requests == 1
 
     def test_named_by_url(self):
@@ -186,19 +157,7 @@ class TestHttpJudgeClient:
         with pytest.raises(ValueError, match="unknown judge mode"):
             StubServer("judge", StubBehavior(mode=mode))
 
-    def test_env_config(self, monkeypatch):
-        monkeypatch.setenv("SEMRANK_JUDGE_URL", "http://example.test/v1")
-        monkeypatch.setenv("SEMRANK_JUDGE_MODEL", "giudice")
-        cfg = JudgeEndpointConfig.from_env()
-        assert cfg.url == "http://example.test/v1"
-        assert cfg.model == "giudice"
-
     @pytest.mark.parametrize("timeout", [0, -1])
     def test_timeout_validated(self, timeout):
         with pytest.raises(ValueError, match="timeout"):
             JudgeEndpointConfig(url="http://x", timeout=timeout)
-
-    def test_env_missing_url_rejected(self, monkeypatch):
-        monkeypatch.delenv("SEMRANK_JUDGE_URL", raising=False)
-        with pytest.raises(ValueError):
-            JudgeEndpointConfig.from_env()
