@@ -23,14 +23,13 @@ logger = logging.getLogger(__name__)
 POST_ATTEMPTS = 2
 
 
-class HttpStatusError(Exception):
-    def __init__(self, status: int, url: str):
-        super().__init__(f"HTTP {status} from {url}")
+class HttpError(Exception):
+    """A failed post: status is a non-2xx reply's code, None for a transport
+    failure (refused, DNS, timeout) or a reply body that is not JSON."""
+
+    def __init__(self, message: str, status: int | None = None):
+        super().__init__(message)
         self.status = status
-
-
-class HttpTransportError(Exception):
-    """Connection refused, DNS failure, timeout, or malformed response body."""
 
 
 class _Pool(dict):
@@ -88,27 +87,27 @@ def _post_once(conn: http.client.HTTPConnection, url: str, target: str,
         raw = resp.read()  # read in full, even on error, so the connection stays usable
     except (http.client.HTTPException, OSError) as exc:
         conn.close()
-        raise HttpTransportError(f"POST {url} failed: {exc}") from exc
+        raise HttpError(f"POST {url} failed: {exc}") from exc
     if not 200 <= resp.status < 300:
-        raise HttpStatusError(resp.status, url)
+        raise HttpError(f"HTTP {resp.status} from {url}", resp.status)
     try:
         return json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise HttpTransportError(f"non-JSON response from {url}: {exc}") from exc
+        raise HttpError(f"non-JSON response from {url}: {exc}") from exc
 
 
 def post_json(url: str, payload: dict, timeout: float,
               auth_token: str | None = None) -> dict:
     """POST payload as UTF-8 JSON, return the decoded JSON response.
 
-    A non-2xx reply (HttpStatusError) or a transport or decode failure
-    (HttpTransportError) is sent again, POST_ATTEMPTS tries in all, and the
-    last failure is raised; a URL that is not http(s) raises at once. So a
-    post reaches the server at most POST_ATTEMPTS times, whatever failed.
+    A non-2xx reply or a transport or decode failure is sent again,
+    POST_ATTEMPTS tries in all, and the last failure is raised as HttpError;
+    a URL that is not http(s) raises it at once. So a post reaches the
+    server at most POST_ATTEMPTS times, whatever failed.
     """
     parts = urllib.parse.urlsplit(url)
     if parts.scheme not in ("http", "https") or not parts.hostname:
-        raise HttpTransportError(f"POST {url} failed: not an http(s) URL")
+        raise HttpError(f"POST {url} failed: not an http(s) URL")
     target = parts.path or "/"
     if parts.query:
         target += "?" + parts.query
@@ -120,7 +119,7 @@ def post_json(url: str, payload: dict, timeout: float,
     for attempt in range(1, POST_ATTEMPTS + 1):
         try:
             return _post_once(conn, url, target, body, headers)
-        except (HttpStatusError, HttpTransportError) as exc:
+        except HttpError as exc:
             if attempt == POST_ATTEMPTS:
                 raise
             logger.warning("retrying POST %s after %s", url, exc)

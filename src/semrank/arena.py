@@ -4,8 +4,9 @@ aggregation across judges, and multiple-choice accuracy.
 Matches are scheduled as all unordered model pairs crossed with all items,
 shuffled with a seeded RNG, and applied to the Elo table sequentially in
 that order. Each match presents the two explanations to the judge in
-seeded-random order under anonymous labels "1" and "2"; the verdict is
-mapped back to the real sides afterwards.
+seeded-random order (with both_orders, each pair plays each item once in
+each order) under anonymous labels "1" and "2"; the verdict is mapped back
+to the real sides afterwards.
 """
 
 from __future__ import annotations
@@ -84,16 +85,17 @@ def elo_update(r_a: float, r_b: float, outcome: str,
 
 
 def judge_pair(item: dict, explanation_a: str, explanation_b: str,
-               judge_client: JudgeClient, rng: np.random.Generator,
+               judge_client: JudgeClient, rng: np.random.Generator | None,
                model_a: str = "a", model_b: str = "b") -> MatchRecord:
     """One anonymized comparison. item needs item_id and question fields.
 
     The two explanations go into rubric slots 1 and 2 in seeded-random
-    order; an unparseable verdict is retried once, then recorded as TIE.
+    order, or a's first when rng is None; an unparseable verdict is retried
+    once, then recorded as TIE.
     """
     if not explanation_a or not explanation_b:
         raise ValueError("explanations must be non-empty")
-    a_first = bool(rng.integers(0, 2) == 0)
+    a_first = rng is None or bool(rng.integers(0, 2) == 0)
     first, second = (explanation_a, explanation_b) if a_first \
         else (explanation_b, explanation_a)
     prompt = build_pair_prompt(item.get("question", ""), first, second)
@@ -162,7 +164,7 @@ def run_tournament(models: dict[str, dict[str, str]], items: list[dict],
             record = judge_pair(
                 item, models[model_a][str(item["item_id"])],
                 models[model_b][str(item["item_id"])],
-                judge, rng, model_a=model_a, model_b=model_b)
+                judge, None if both_orders else rng, model_a=model_a, model_b=model_b)
             table.record(record)
             matches.append(record)
         tables[jname] = table

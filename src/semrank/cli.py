@@ -396,6 +396,11 @@ def _run_cpt(cfg: dict, optimizer_kind: str, out_dir: Path) -> list[float]:
     chunks_file = _require_path(out_dir / "corpus_chunks.jsonl",
                                 "corpus chunks (run prepare first)")
     chunks = [row["tokens"] for row in _rows(chunks_file, "corpus chunks", ("tokens",))]
+    for i, tokens in enumerate(chunks):
+        if not (isinstance(tokens, list) and all(
+                type(t) is int and 0 <= t < ByteBucketVocab.size for t in tokens)):
+            raise ConfigError(f"corpus chunks {chunks_file}: row {i}: tokens is not "
+                              f"a list of token ids in [0, {ByteBucketVocab.size})")
     if not any(chunks):
         raise ConfigError(f"no tokens in {chunks_file}: no .txt file in "
                           "dataprep.corpus_dir holds text")
@@ -478,6 +483,8 @@ def _run_grpo(cfg: dict, out_dir: Path) -> Path:
         trainer.write_metrics_csv(run_dir / "metrics.csv", [])
         print(f"grpo: 0 steps -> {final}")
         return final
+    if base.lora is not None:
+        raise ConfigError(f"grpo.init_checkpoint {init} already carries a LoRA adapter")
     # the checkpoint, not the policy section, fixes the shapes the rank must fit
     params = _build("key grpo.lora_rank", policy.attach_lora, base, lora_cfg,
                     seed=cfg["seed"])

@@ -16,7 +16,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from ._http import HttpStatusError, HttpTransportError, post_json
+from ._http import HttpError, post_json
 from .errors import DegenerateVectorError, EmbeddingServiceError
 
 # Sample size for the dataset reference centroid; seeded draw, configurable.
@@ -155,44 +155,41 @@ class RemoteEncoder:
             try:
                 reply = post_json(self._url, {"texts": batch}, timeout=self.cfg.timeout,
                                   auth_token=self.cfg.auth_token)
-            except HttpStatusError as exc:
+            except HttpError as exc:
                 raise EmbeddingServiceError(
-                    f"encoder returned HTTP {exc.status} for batch {batch_index}",
+                    f"encoder failed on batch {batch_index}: {exc}",
                     batch_index=batch_index, status=exc.status) from exc
-            except HttpTransportError as exc:
-                raise EmbeddingServiceError(
-                    f"encoder transport failure for batch {batch_index}: {exc}",
-                    batch_index=batch_index) from exc
             out.extend(self._parse_batch(reply, batch, batch_index))
         return out
 
-    def _parse_batch(self, reply: dict, batch: list[str],
+    def _parse_batch(self, reply, batch: list[str],
                      batch_index: int) -> list[np.ndarray]:
-        embeddings = reply.get("embeddings")
-        dim = reply.get("dim")
-        if not isinstance(embeddings, list) or len(embeddings) != len(batch):
-            raise EmbeddingServiceError(
-                f"encoder returned {0 if not isinstance(embeddings, list) else len(embeddings)}"
-                f" vectors for {len(batch)} texts in batch {batch_index}",
-                batch_index=batch_index)
-        vectors = [np.asarray(e, dtype=np.float64) for e in embeddings]
-        for v in vectors:
-            if v.ndim != 1 or (dim is not None and v.shape[0] != dim):
-                raise EmbeddingServiceError(
-                    f"malformed vector shape {v.shape} in batch {batch_index}",
-                    batch_index=batch_index)
-            if not np.all(np.isfinite(v)):
-                raise EmbeddingServiceError(
-                    f"non-finite embedding values in batch {batch_index}",
-                    batch_index=batch_index)
-        d = vectors[0].shape[0]
+        """The batch's vectors; a reply that is not an object of len(batch) finite
+        vectors, all as wide as dim and the earlier batches, raises EmbeddingServiceError."""
+        def malformed(what: str) -> EmbeddingServiceError:
+            return EmbeddingServiceError(f"encoder reply for batch {batch_index}: {what}",
+                                         batch_index=batch_index)
+        if not isinstance(reply, dict):
+            raise malformed("not a JSON object")
+        try:
+            vectors = np.asarray(reply.get("embeddings"))
+            if vectors.dtype.kind not in "iuf":  # float64 would take "1.5" and true
+                raise ValueError(f"values of type {vectors.dtype}")
+        except ValueError as exc:  # a ragged batch, too
+            raise malformed(f"embeddings are not a list of numeric vectors ({exc})") from exc
+        vectors = vectors.astype(np.float64)
+        if vectors.ndim != 2 or len(vectors) != len(batch) or not vectors.shape[1]:
+            raise malformed(f"embeddings of shape {vectors.shape} for {len(batch)} texts")
+        if not np.isfinite(vectors).all():
+            raise malformed("non-finite embedding values")
+        d, dim = vectors.shape[1], reply.get("dim")
+        if dim is not None and d != dim:
+            raise malformed(f"vectors of width {d}, but dim {dim!r}")
         if self._dim is None:
             self._dim = d
         elif d != self._dim:
-            raise EmbeddingServiceError(
-                f"dimension changed between batches: {self._dim} then {d} "
-                f"(batch {batch_index})", batch_index=batch_index)
-        return vectors
+            raise malformed(f"dimension changed between batches: {self._dim} then {d}")
+        return list(vectors)
 
 
 PROVIDER_KINDS = ("toy", "remote")

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Callable, Protocol, TypeVar
 
-from ._http import HttpStatusError, HttpTransportError, post_json
+from ._http import HttpError, post_json
 from .errors import JudgeServiceError
 from .tokenizers import word_tokenize
 
@@ -148,10 +148,12 @@ class HttpJudgeClient:
         try:
             reply = post_json(self.cfg.url, payload, timeout=self.cfg.timeout,
                               auth_token=self.cfg.auth_token)
-            return reply["choices"][0]["message"]["content"]
-        except (HttpStatusError, HttpTransportError, KeyError,
-                IndexError, TypeError) as exc:
+            content = reply["choices"][0]["message"]["content"]
+        except (HttpError, KeyError, IndexError, TypeError) as exc:
             raise JudgeServiceError(f"judge endpoint failed: {exc}") from exc
+        if not isinstance(content, str):
+            raise JudgeServiceError(f"judge endpoint replied content {content!r}, not text")
+        return content
 
 
 # fixed-score also takes its reply as fixed-score:<n>, n in 0..10

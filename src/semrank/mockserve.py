@@ -29,19 +29,9 @@ class StubBehavior:
     dim: int = DEFAULT_TOY_DIM
 
 
-def _check_behavior(kind: str, behavior: StubBehavior) -> None:
-    if kind == "judge":
-        check_judge_mode(behavior.mode)
-    elif behavior.mode not in EMBED_MODES:
-        raise ValueError(f"unknown embed mode {behavior.mode!r}; expected one of "
-                         f"{list(EMBED_MODES)}")
-    else:
-        embed_toy("", behavior.dim)  # raises on a dimension embed_toy rejects
-
-
 class _StubHandler(BaseHTTPRequestHandler):
-    behavior: StubBehavior
-    kind: str  # "embed" or "judge"
+    """Serves the kind and behavior of its StubServer, self.server."""
+
     # Keep-alive: one connection, and one handler thread, serves a client's
     # posts until either side closes it.
     protocol_version = "HTTP/1.1"
@@ -77,8 +67,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             self._send(400, {"error": "bad json"})
             return
 
-        behavior = self.behavior
-        if self.kind == "embed":
+        behavior = self.server.behavior
+        if self.server.kind == "embed":
             if behavior.mode == "fail-with-status":
                 self._send(behavior.fail_status, {"error": "configured failure"})
                 return
@@ -106,15 +96,26 @@ class _StubHandler(BaseHTTPRequestHandler):
         })
 
 
-class _StubHTTPServer(ThreadingHTTPServer):
-    """Counts the connections it accepts and tracks the open ones, so that
-    close_connections() can end those a client keeps alive."""
+class _LocalServer(ThreadingHTTPServer):
+    """An HTTP server on 127.0.0.1, serving from a thread of its own once
+    started; use as a context manager. stats counts the requests its handler
+    reads and the connections it accepts; the open ones are tracked, so that
+    stop() can end those a client keeps alive."""
 
-    def __init__(self, address, handler, stats: dict):
-        super().__init__(address, handler)
-        self.stats = stats
+    def __init__(self, handler, port: int = 0, **stats):
+        super().__init__(("127.0.0.1", port), handler)
+        self.stats = {"requests": 0, "connections": 0, **stats}
         self.stats_lock = threading.Lock()
         self._open: set[socket.socket] = set()
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+
+    @property
+    def port(self) -> int:
+        return self.server_address[1]
+
+    @property
+    def base_url(self) -> str:
+        return f"http://127.0.0.1:{self.port}"
 
     def process_request(self, request, client_address):
         with self.stats_lock:
@@ -127,19 +128,32 @@ class _StubHTTPServer(ThreadingHTTPServer):
             self._open.discard(request)
         super().shutdown_request(request)
 
-    def close_connections(self) -> None:
-        """Shut down every open connection; its handler thread then reads
-        EOF, closes the socket and exits. Holding the lock keeps a handler
-        from closing a socket while it is being shut down."""
+    def start(self):
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        """Stop the serving loop if start() began one, shut down the open
+        connections (their handler threads then read EOF and exit; the lock
+        keeps a handler from closing a socket meanwhile), free the port."""
+        if self._thread.is_alive():
+            self.shutdown()
         with self.stats_lock:
             for sock in self._open:
                 try:
                     sock.shutdown(socket.SHUT_RDWR)
                 except OSError:  # the peer has already gone
                     pass
+        self.server_close()
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
 
 
-class StubServer:
+class StubServer(_LocalServer):
     """A stub on 127.0.0.1, serving once started; use as a context manager
     in tests.
 
@@ -150,48 +164,22 @@ class StubServer:
     """
 
     def __init__(self, kind: str, behavior: StubBehavior, port: int = 0):
-        if kind not in DEFAULT_MODES:
+        if kind == "judge":
+            check_judge_mode(behavior.mode)
+        elif kind != "embed":
             raise ValueError(f"kind must be embed or judge, got {kind!r}")
-        _check_behavior(kind, behavior)
+        elif behavior.mode not in EMBED_MODES:
+            raise ValueError(f"unknown embed mode {behavior.mode!r}; expected one of "
+                             f"{list(EMBED_MODES)}")
+        else:
+            embed_toy("", behavior.dim)  # raises on a dimension embed_toy rejects
         self.kind = kind
         self.behavior = behavior
-        self.stats = {"requests": 0, "connections": 0, "batch_sizes": [],
-                      "auth_headers": []}
-        handler = type("Handler", (_StubHandler,), {
-            "behavior": behavior, "kind": kind})
-        self._server = _StubHTTPServer(("127.0.0.1", port), handler, self.stats)
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        daemon=True)
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    @property
-    def base_url(self) -> str:
-        return f"http://127.0.0.1:{self.port}"
+        super().__init__(_StubHandler, port, batch_sizes=[], auth_headers=[])
 
     @property
     def judge_url(self) -> str:
         return f"{self.base_url}/v1/chat/completions"
-
-    def start(self) -> "StubServer":
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop the serving loop if start() began one, close the connections
-        clients kept alive, and free the port."""
-        if self._thread.is_alive():
-            self._server.shutdown()
-        self._server.close_connections()
-        self._server.server_close()
-
-    def __enter__(self) -> "StubServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
 
 
 def run_forever(server: StubServer) -> None:
@@ -200,7 +188,7 @@ def run_forever(server: StubServer) -> None:
     print(f"serving {server.kind} stub (mode={server.behavior.mode}) "
           f"on {server.base_url}")
     try:
-        server._server.serve_forever()
+        server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:

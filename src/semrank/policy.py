@@ -196,7 +196,9 @@ def init_params(vocab_size: int = 64, context_size: int = 16, embed_dim: int = 3
 
 def attach_lora(params: PolicyParams, cfg: LoraConfig, seed: int = 0) -> PolicyParams:
     """Fresh W1 and W2 adapters: A ~ N(0, 1/rank), B = 0, so the initial
-    delta is zero."""
+    delta is zero. Params that already carry an adapter raise ValueError."""
+    if params.lora is not None:
+        raise ValueError("the params already carry a LoRA adapter")
     rng = np.random.default_rng(seed)
     lora = {}
     for name in LORA_TARGETS:
@@ -208,7 +210,7 @@ def attach_lora(params: PolicyParams, cfg: LoraConfig, seed: int = 0) -> PolicyP
         a = rng.normal(0.0, 1.0 / cfg.rank, (cfg.rank, cols))
         b = np.zeros((rows, cfg.rank))
         lora[name] = (a, b)
-    return replace(detach_lora(params), lora=lora, lora_cfg=cfg)
+    return replace(params.copy(), lora=lora, lora_cfg=cfg)
 
 
 def detach_lora(params: PolicyParams) -> PolicyParams:

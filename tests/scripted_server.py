@@ -7,10 +7,9 @@ counts requests and accepted connections and records each request target.
 """
 
 import json
-import threading
 from http.server import BaseHTTPRequestHandler
 
-from semrank.mockserve import _StubHTTPServer
+from semrank.mockserve import _LocalServer
 
 HANG_UP = None
 NOT_JSON = (200, b"this is not JSON")
@@ -46,30 +45,19 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
 
-class ScriptedServer:
+class ScriptedServer(_LocalServer):
     """The server on 127.0.0.1, serving its script; use as a context manager."""
 
     def __init__(self, *script):
-        self._server = _StubHTTPServer(("127.0.0.1", 0), _ScriptedHandler,
-                                       {"requests": 0, "connections": 0})
-        self._server.script = script
-        self._server.targets = self.targets = []
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
-        self.url = f"http://127.0.0.1:{self._server.server_address[1]}"
+        super().__init__(_ScriptedHandler)
+        self.script = script
+        self.targets = []
+        self.url = self.base_url
 
     @property
     def requests(self) -> int:
-        return self._server.stats["requests"]
+        return self.stats["requests"]
 
     @property
     def connections(self) -> int:
-        return self._server.stats["connections"]
-
-    def __enter__(self) -> "ScriptedServer":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._server.shutdown()
-        self._server.close_connections()
-        self._server.server_close()
+        return self.stats["connections"]

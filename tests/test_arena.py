@@ -250,6 +250,20 @@ class TestTournament:
                                 seed=0, both_orders=True)
         assert len(double.matches) == 2 * len(single.matches)
 
+    def test_both_orders_shows_each_model_first_once_per_pair_and_item(self):
+        items = self.items(20)
+        models = make_models(items, {"a": 3, "b": 1, "c": 2})
+        report = run_tournament(models, items, [MockJudge("prefer-longer")],
+                                seed=0, both_orders=True)
+        shown_first = {}
+        for m in report.matches:
+            first = m.model_a if m.presented_order == "a_first" else m.model_b
+            key = (frozenset((m.model_a, m.model_b)), m.item_id)
+            shown_first.setdefault(key, []).append(first)
+        assert len(shown_first) == 3 * 20
+        assert all(sorted(firsts) == sorted(pair)
+                   for (pair, _), firsts in shown_first.items())
+
 
 class TestAccuracy:
     def tagged(self, answer):

@@ -175,6 +175,21 @@ class TestTrain:
             lr_at(schedule, (e + 1) * steps_per_epoch - 1) for e in range(3)]
         assert 0 < float(rows[-1]["lr"]) < float(rows[0]["lr"])
 
+    def test_grpo_from_a_checkpoint_with_an_adapter_exit_2(self, prepared, tmp_path,
+                                                           capsys):
+        cfg, out = prepared
+        for stage in ("cpt", "sft", "grpo"):
+            assert main(["train", stage, "--config", str(cfg)]) == 0
+        adapted = out / "grpo" / "step2.ckpt"
+        cfg = write_config(tmp_path, grpo={"init_checkpoint": str(adapted)})
+        (out / "train.jsonl").unlink()  # the checkpoint is checked before a split is read
+        capsys.readouterr()
+        assert main(["train", "grpo", "--config", str(cfg)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert "grpo.init_checkpoint" in line and str(adapted) in line
+        assert main(["train", "grpo", "--config", str(cfg), "--steps", "0"]) == 0
+        assert (out / "grpo" / "step0.ckpt").read_bytes() == adapted.read_bytes()
+
     def test_grpo_steps_zero_checkpoint_byte_identical(self, prepared):
         cfg, out = prepared
         assert main(["train", "cpt", "--config", str(cfg)]) == 0
@@ -632,6 +647,10 @@ def run(command, tmp_path, cfg):
      ["train sft"], ["train split", "train.jsonl", "row", "answer"]),
     (lambda tmp: prepared_then_appended(tmp, "corpus_chunks.jsonl", '{"nope": 1}'),
      ["train cpt"], ["corpus chunks", "corpus_chunks.jsonl", "row", "tokens"]),
+    *((lambda tmp, tokens=tokens: prepared_then_appended(
+        tmp, "corpus_chunks.jsonl", json.dumps({"tokens": tokens})),
+       ["train cpt"], ["corpus chunks", "corpus_chunks.jsonl", "row", "token ids"])
+      for tokens in ("abc", 5, [[1]], [99], [1.5, 2])),
     (lambda tmp: qa_with_first_row(tmp, {"question": "q?", "answer": "z",
                                          "options": {"a": "x"}}),
      ["prepare"], ["dataprep.qa_file", "qa.jsonl", "row 0", "not an option label"]),
@@ -686,6 +705,8 @@ def run(command, tmp_path, cfg):
         "arena-item-line-not-json", "arena-model-line-not-json",
         "generations-line-not-json", "generations-row-not-object",
         "split-line-not-json", "split-row-without-answer", "chunk-row-without-tokens",
+        "chunk-tokens-a-string", "chunk-tokens-a-number", "chunk-tokens-nested",
+        "chunk-token-out-of-range", "chunk-token-a-float",
         "qa-answer-not-an-option", "qa-difficulty-not-a-number",
         "qa-rationale-not-a-string", "qa-question-not-a-string",
         "qa-options-not-strings", "split-rationale-not-a-string",

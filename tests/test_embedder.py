@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scripted_server import ScriptedServer, reply
 
 from semrank.embedder import (EncoderEndpointConfig, RemoteEncoder, ToyEmbedder,
                               cosine, embed_toy, fnv1a_64, reference_centroid,
                               sample_reference_texts)
-from semrank._http import HttpTransportError
+from semrank._http import HttpError
 from semrank.errors import DegenerateVectorError, EmbeddingServiceError
 from semrank.mockserve import StubBehavior, StubServer
 
@@ -196,7 +197,7 @@ class TestRemoteEncoder:
             stub.stop()
         with pytest.raises(EmbeddingServiceError) as excinfo:
             client.embed(["dopo"])
-        assert isinstance(excinfo.value.__cause__, HttpTransportError)
+        assert isinstance(excinfo.value.__cause__, HttpError)
 
     def test_transport_failure_distinct(self):
         cfg = EncoderEndpointConfig(base_url="http://127.0.0.1:9",  # discard port
@@ -232,6 +233,24 @@ class TestRemoteEncoderContracts:
         with StubServer("embed", StubBehavior(mode="toy-embed", dim=16)) as stub:
             RemoteEncoder(EncoderEndpointConfig(base_url=stub.base_url)).embed(["x"])
             assert stub.stats["auth_headers"] == [None]
+
+    @pytest.mark.parametrize("body,texts", [
+        ({"embeddings": [["uno", "due"]], "dim": 2}, ["a"]),
+        ({"embeddings": [["1", "2.5"]], "dim": 2}, ["a"]),
+        ({"embeddings": [[True, False]], "dim": 2}, ["a"]),
+        ({"embeddings": [[1.0, None]], "dim": 2}, ["a"]),
+        ([[1.0, 0.0]], ["a"]),
+        ({"embeddings": [[1.0, 2.0], [1.0]]}, ["a", "b"]),
+        ({"embeddings": [[]]}, ["a"]),
+    ], ids=["vector-not-numbers", "numbers-as-strings", "booleans", "null-value",
+            "reply-a-list", "ragged-batch-without-dim", "empty-vector"])
+    def test_malformed_reply_raises_service_error(self, body, texts):
+        with ScriptedServer(reply(200, body)) as server:
+            client = RemoteEncoder(EncoderEndpointConfig(base_url=server.url))
+            with pytest.raises(EmbeddingServiceError, match="batch 0") as excinfo:
+                client.embed(texts)
+            assert excinfo.value.batch_index == 0
+        assert server.requests == 1
 
     def test_dimension_drift_between_batches_rejected(self):
         client = RemoteEncoder(EncoderEndpointConfig(base_url="http://x"))

@@ -136,6 +136,14 @@ class TestHttpJudgeClient:
                 HttpJudgeClient(JudgeEndpointConfig(url=server.url)).complete("ciao")
         assert server.requests == 1
 
+    @pytest.mark.parametrize("content", [7, None, ["7"]])
+    def test_content_not_a_string_raises_service_error(self, content):
+        body = {"choices": [{"message": {"role": "assistant", "content": content}}]}
+        with ScriptedServer(reply(200, body)) as server:
+            with pytest.raises(JudgeServiceError, match="not text"):
+                HttpJudgeClient(JudgeEndpointConfig(url=server.url)).complete("ciao")
+        assert server.requests == 1
+
     def test_named_by_url(self):
         url = "http://127.0.0.1:1/v1/chat/completions"
         client = make_judge(url, JudgeEndpointConfig(url="ignored", model="m"))

@@ -331,6 +331,11 @@ class TestLora:
         with pytest.raises(ValueError):
             attach_lora(tiny(), LoraConfig(rank=6, alpha=1.0))
 
+    def test_params_with_an_adapter_rejected(self):
+        adapted = attach_lora(tiny(seed=5), LoraConfig(rank=2, alpha=4.0), seed=6)
+        with pytest.raises(ValueError, match="already carry a LoRA adapter"):
+            attach_lora(adapted, LoraConfig(rank=2, alpha=4.0), seed=7)
+
     def test_detach_recovers_base(self):
         params = tiny(seed=5)
         adapted = attach_lora(params, LoraConfig(rank=2, alpha=4.0), seed=6)
